@@ -20,20 +20,22 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .model import ModelParams, zeros_model_params
+from .model import ModelParams, init_model_params
 
 MAGIC = b"AVSM"
 VERSION = 1
 
 
 def save_model(params: ModelParams, path) -> None:
-    chunks = [MAGIC, binio.pack_u16(VERSION, "version")]
+    header = [MAGIC, binio.pack_u16(VERSION, "version")]
     for field, value in (("d_a", params.audio_dim), ("d_v", params.visual_dim),
                          ("h", params.hidden_size), ("C", params.num_events)):
-        chunks.append(binio.pack_u32(value, field))
-    for _, arr in params.tensors():
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+        header.append(binio.pack_u32(value, field))
+    # Streamed tensor by tensor, so the file is never built in memory.
+    with open(path, "wb") as fh:
+        fh.write(b"".join(header))
+        for _, arr in params.tensors():
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_model(path) -> ModelParams:
@@ -52,7 +54,7 @@ def load_model(path) -> ModelParams:
     if min(d_a, d_v, h, c) < 1:
         raise binio.FormatError(
             "invalid header dimensions d_a=%d d_v=%d h=%d C=%d" % (d_a, d_v, h, c))
-    params = zeros_model_params(d_a, d_v, h, c, dtype=np.float64)
+    params = init_model_params(d_a, d_v, h, c, rng=None, dtype=np.float64)
     for _, arr in params.tensors():
         arr[...] = reader.array("<f8", arr.size).reshape(arr.shape)
     reader.expect_eof()

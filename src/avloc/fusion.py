@@ -19,10 +19,11 @@ import numpy as np
 from . import ops
 from .lstm import LstmState, _glorot
 from .ops import ShapeError
+from .tree import ParamTree
 
 
 @dataclass
-class MlpParams:
+class MlpParams(ParamTree):
     """One-hidden-layer MLP with tanh: y = w2 @ tanh(w1 @ x + b1) + b2."""
 
     w1: np.ndarray
@@ -37,12 +38,6 @@ class MlpParams:
     @property
     def output_size(self) -> int:
         return self.w2.shape[0]
-
-    def tensors(self):
-        yield "w1", self.w1
-        yield "b1", self.b1
-        yield "w2", self.w2
-        yield "b2", self.b2
 
 
 @dataclass
@@ -62,20 +57,6 @@ def init_mlp_params(input_size: int, hidden_size: int, output_size: int,
     )
 
 
-def zeros_mlp_params(input_size: int, hidden_size: int, output_size: int,
-                     dtype=np.float64) -> MlpParams:
-    return MlpParams(
-        w1=np.zeros((hidden_size, input_size), dtype=dtype),
-        b1=np.zeros(hidden_size, dtype=dtype),
-        w2=np.zeros((output_size, hidden_size), dtype=dtype),
-        b2=np.zeros(output_size, dtype=dtype),
-    )
-
-
-def zeros_like_mlp(params: MlpParams) -> MlpParams:
-    return MlpParams(**{name: np.zeros_like(arr) for name, arr in params.tensors()})
-
-
 def mlp_forward(params: MlpParams, x: np.ndarray):
     hidden = ops.tanh(ops.matvec(params.w1, x) + params.b1)
     y = ops.matvec(params.w2, hidden) + params.b2
@@ -91,21 +72,9 @@ def mlp_backward(params: MlpParams, trace: MlpTrace, gout: np.ndarray):
 
 
 @dataclass
-class FusionParams:
+class FusionParams(ParamTree):
     g_h: MlpParams  # fuses hidden states
     g_c: MlpParams  # fuses cell states
-
-    def tensors(self):
-        for name, arr in self.g_h.tensors():
-            yield "g_h." + name, arr
-        for name, arr in self.g_c.tensors():
-            yield "g_c." + name, arr
-
-
-@dataclass
-class FusedState:
-    h: np.ndarray
-    c: np.ndarray
 
 
 @dataclass
@@ -132,16 +101,6 @@ def init_fusion_params(hidden_size: int, rng: np.random.Generator,
     return FusionParams(g_h=g_h, g_c=g_c)
 
 
-def zeros_fusion_params(hidden_size: int, dtype=np.float64) -> FusionParams:
-    h = hidden_size
-    return FusionParams(g_h=zeros_mlp_params(h, h, h, dtype),
-                        g_c=zeros_mlp_params(h, h, h, dtype))
-
-
-def zeros_like_fusion(params: FusionParams) -> FusionParams:
-    return FusionParams(g_h=zeros_like_mlp(params.g_h), g_c=zeros_like_mlp(params.g_c))
-
-
 def _fuse_track(mlp: MlpParams, a: np.ndarray, v: np.ndarray):
     ga, tr_a = mlp_forward(mlp, a)
     gv, tr_v = mlp_forward(mlp, v)
@@ -157,22 +116,16 @@ def _fuse_track_backward(mlp: MlpParams, trace: _TrackTrace, gout: np.ndarray):
     dm = dza + dzv
     mlp_grads_a, da_mlp = mlp_backward(mlp, trace.mlp_a, 0.5 * dm)
     mlp_grads_v, dv_mlp = mlp_backward(mlp, trace.mlp_v, 0.5 * dm)
-    mlp_grads = MlpParams(
-        w1=mlp_grads_a.w1 + mlp_grads_v.w1,
-        b1=mlp_grads_a.b1 + mlp_grads_v.b1,
-        w2=mlp_grads_a.w2 + mlp_grads_v.w2,
-        b2=mlp_grads_a.b2 + mlp_grads_v.b2,
-    )
-    return mlp_grads, dza + da_mlp, dzv + dv_mlp
+    return mlp_grads_a.map(np.add, mlp_grads_v), dza + da_mlp, dzv + dv_mlp
 
 
 def fuse(params: FusionParams, audio: LstmState, visual: LstmState):
-    """Fuse the two final encoder states.  Returns (FusedState, FusionTrace)."""
+    """Fuse the two final encoder states.  Returns (LstmState, FusionTrace)."""
     if audio.h.shape != visual.h.shape or audio.c.shape != visual.c.shape:
         raise ShapeError("fuse", audio.h.shape, visual.h.shape)
     h_f, tr_h = _fuse_track(params.g_h, audio.h, visual.h)
     c_f, tr_c = _fuse_track(params.g_c, audio.c, visual.c)
-    return FusedState(h_f, c_f), FusionTrace(hidden=tr_h, cell=tr_c)
+    return LstmState(h_f, c_f), FusionTrace(hidden=tr_h, cell=tr_c)
 
 
 def fuse_backward(params: FusionParams, trace: FusionTrace,

@@ -1,4 +1,4 @@
-"""Single-layer LSTM: cell step, sequence unroll, backprop through time.
+"""Single-layer LSTM: sequence unroll and backprop through time.
 
 Gate equations (gate order f, i, o, candidate):
 
@@ -19,13 +19,15 @@ import numpy as np
 
 from . import ops
 from .ops import ShapeError
+from .tree import ParamTree
 
 GATES = ("f", "i", "o", "c")
 
 
 @dataclass
-class LstmParams:
-    """Weight bundle for one LSTM. W_g: (h, d), U_g: (h, h), b_g: (h,)."""
+class LstmParams(ParamTree):
+    """Weight bundle for one LSTM. W_g: (h, d), U_g: (h, h), b_g: (h,).
+    Fields are in canonical order: per gate f, i, o, c the triple W, U, b."""
 
     wf: np.ndarray
     uf: np.ndarray
@@ -48,36 +50,11 @@ class LstmParams:
     def hidden_size(self) -> int:
         return self.wf.shape[0]
 
-    def tensors(self):
-        """(name, array) pairs in the canonical order: per gate f,i,o,c the
-        triple W, U, b.  This order is relied on by the optimizer, the
-        gradient checker and the checkpoint format."""
-        for g in GATES:
-            for kind in ("w", "u", "b"):
-                name = kind + g
-                yield name, getattr(self, name)
-
 
 @dataclass
 class LstmState:
     h: np.ndarray
     c: np.ndarray
-
-
-@dataclass
-class StepTrace:
-    """Cached activations of one lstm_step, consumed by the backward pass."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
 
 
 @dataclass
@@ -95,15 +72,12 @@ class LstmTrace:
     tanh_c: np.ndarray
     h: np.ndarray
 
-    @property
-    def length(self) -> int:
-        return self.xs.shape[0]
 
-    def final_state(self) -> LstmState:
-        return LstmState(self.h[-1], self.c[-1])
-
-
-def _glorot(rng: np.random.Generator, rows: int, cols: int, dtype) -> np.ndarray:
+def _glorot(rng: np.random.Generator | None, rows: int, cols: int,
+            dtype) -> np.ndarray:
+    """Glorot-uniform weights; zeros, with nothing drawn, when rng is None."""
+    if rng is None:
+        return np.zeros((rows, cols), dtype=dtype)
     lim = math.sqrt(6.0 / (rows + cols))
     return rng.uniform(-lim, lim, size=(rows, cols)).astype(dtype)
 
@@ -128,66 +102,36 @@ def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator
     return LstmParams(**fields)
 
 
-def zeros_lstm_params(input_size: int, hidden_size: int, dtype=np.float64) -> LstmParams:
-    d, h = input_size, hidden_size
-    fields = {}
-    for g in GATES:
-        fields["w" + g] = np.zeros((h, d), dtype=dtype)
-        fields["u" + g] = np.zeros((h, h), dtype=dtype)
-        fields["b" + g] = np.zeros(h, dtype=dtype)
-    return LstmParams(**fields)
-
-
-def zeros_like_lstm(params: LstmParams) -> LstmParams:
-    return LstmParams(**{name: np.zeros_like(arr) for name, arr in params.tensors()})
-
-
-def lstm_step(params: LstmParams, prev: LstmState, x: np.ndarray):
-    """One cell update.  Returns (next state, step trace)."""
-    d, h = params.input_size, params.hidden_size
-    if x.shape != (d,):
-        raise ShapeError("lstm_step input", (d,), x.shape)
-    if prev.h.shape != (h,) or prev.c.shape != (h,):
-        raise ShapeError("lstm_step state", (h,), prev.h.shape, prev.c.shape)
-    f = ops.sigmoid(ops.matvec(params.wf, x) + ops.matvec(params.uf, prev.h) + params.bf)
-    i = ops.sigmoid(ops.matvec(params.wi, x) + ops.matvec(params.ui, prev.h) + params.bi)
-    o = ops.sigmoid(ops.matvec(params.wo, x) + ops.matvec(params.uo, prev.h) + params.bo)
-    g = ops.tanh(ops.matvec(params.wc, x) + ops.matvec(params.uc, prev.h) + params.bc)
-    c = f * prev.c + i * g
-    tanh_c = ops.tanh(c)
-    hidden = o * tanh_c
-    state = LstmState(hidden, c)
-    trace = StepTrace(x, prev.h, prev.c, f, i, o, g, c, tanh_c, hidden)
-    return state, trace
-
-
 def run_lstm(params: LstmParams, xs: np.ndarray,
              init: LstmState | None = None):
-    """Unroll the cell over xs of shape (T, d).  Returns (final state, trace)."""
+    """Unroll over xs of shape (T, d) from init, or from the all-zero state.
+    Returns (final state, trace)."""
+    h = params.hidden_size
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
         raise ShapeError("run_lstm inputs", ("T", params.input_size), xs.shape)
     steps = xs.shape[0]
     if steps == 0:
         raise ValueError("run_lstm: empty sequence")
-    h = params.hidden_size
     dtype = params.wf.dtype  # parameter precision governs the activations
     if init is None:
         init = LstmState(np.zeros(h, dtype=dtype), np.zeros(h, dtype=dtype))
-    stacked = {k: np.empty((steps, h), dtype=dtype)
-               for k in ("f", "i", "o", "g", "c", "tanh_c", "h")}
-    state = init
+    if init.h.shape != (h,) or init.c.shape != (h,):
+        raise ShapeError("run_lstm state", (h,), init.h.shape, init.c.shape)
+    trace = LstmTrace(xs, init.h, init.c,
+                      *(np.empty((steps, h), dtype=dtype) for _ in range(7)))
+    h_prev, c_prev = init.h, init.c
     for t in range(steps):
-        state, st = lstm_step(params, state, xs[t])
-        for k in stacked:
-            stacked[k][t] = getattr(st, k)
-    trace = LstmTrace(xs=xs, h0=init.h, c0=init.c, **stacked)
-    return state, trace
-
-
-def encode_sequence(params: LstmParams, xs: np.ndarray):
-    """Encoder pass from the all-zero initial state; the final hidden and
-    cell state act as the global representation of the modality."""
-    return run_lstm(params, xs, init=None)
+        x = xs[t]
+        f = ops.sigmoid(ops.matvec(params.wf, x) + ops.matvec(params.uf, h_prev) + params.bf)
+        i = ops.sigmoid(ops.matvec(params.wi, x) + ops.matvec(params.ui, h_prev) + params.bi)
+        o = ops.sigmoid(ops.matvec(params.wo, x) + ops.matvec(params.uo, h_prev) + params.bo)
+        g = ops.tanh(ops.matvec(params.wc, x) + ops.matvec(params.uc, h_prev) + params.bc)
+        c_prev = f * c_prev + i * g
+        tanh_c = ops.tanh(c_prev)
+        h_prev = o * tanh_c
+        trace.f[t], trace.i[t], trace.o[t], trace.g[t] = f, i, o, g
+        trace.c[t], trace.tanh_c[t], trace.h[t] = c_prev, tanh_c, h_prev
+    return LstmState(h_prev, c_prev), trace
 
 
 def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
@@ -198,7 +142,8 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
 
     dh_steps: optional (T, h) gradients flowing into each h_t from outside
     (e.g. a per-step output layer).  dh_final / dc_final: extra gradients on
-    the last state.  Returns (param grads, input grads (T, d), dh0, dc0).
+    the last state.  Returns (param grads, dh0, dc0), the last two the
+    gradients on the initial state.
     """
     steps, h = trace.h.shape
     if trace.f.shape != (steps, h) or params.hidden_size != h:
@@ -206,8 +151,7 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
                          (params.hidden_size,))
     if dh_steps is not None and dh_steps.shape != (steps, h):
         raise ShapeError("lstm_sequence_backward dh_steps", (steps, h), dh_steps.shape)
-    grads = zeros_like_lstm(params)
-    dxs = np.zeros_like(trace.xs)
+    grads = params.map(np.zeros_like)
     dh_next = np.zeros(h, dtype=trace.h.dtype)
     dc_next = np.zeros(h, dtype=trace.h.dtype)
     if dh_final is not None:
@@ -227,28 +171,13 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
             "o": ops.sigmoid_grad(o, do),
             "c": ops.tanh_grad(g, dc * i),
         }
-        dx = np.zeros_like(dxs[t])
         dh_next = np.zeros(h, dtype=trace.h.dtype)
         for gate, dz in d_pre.items():
-            dw, dx_part = ops.matvec_grad(getattr(params, "w" + gate), trace.xs[t], dz)
             du, dh_part = ops.matvec_grad(getattr(params, "u" + gate), h_prev, dz)
-            getattr(grads, "w" + gate)[:] += dw
+            getattr(grads, "w" + gate)[:] += np.outer(dz, trace.xs[t])
             getattr(grads, "u" + gate)[:] += du
             getattr(grads, "b" + gate)[:] += dz
-            dx += dx_part
             dh_next += dh_part
-        dxs[t] = dx
         dc_next = dc * f
-    return grads, dxs, dh_next, dc_next
+    return grads, dh_next, dc_next
 
-
-def encode_backward(params: LstmParams, trace: LstmTrace,
-                    dh_final: np.ndarray, dc_final: np.ndarray):
-    """BPTT for an encoder given gradients on its final (h_T, c_T) only.
-
-    Returns (param grads, input grads).  Gradients on the zero initial
-    state are discarded.
-    """
-    grads, dxs, _, _ = lstm_sequence_backward(
-        params, trace, dh_steps=None, dh_final=dh_final, dc_final=dc_final)
-    return grads, dxs

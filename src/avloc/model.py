@@ -21,9 +21,10 @@ import numpy as np
 from . import fusion as fusion_mod
 from . import lstm as lstm_mod
 from . import ops
-from .fusion import FusedState, FusionParams, FusionTrace
+from .fusion import FusionParams, FusionTrace
 from .lstm import LstmParams, LstmState, LstmTrace, _glorot
 from .ops import ShapeError
+from .tree import ParamTree
 
 LOG_CLAMP = 1e-12  # floor for log arguments in the BCE losses
 
@@ -38,7 +39,7 @@ class DecoderInit(enum.Enum):
 
 
 @dataclass
-class ModelParams:
+class ModelParams(ParamTree):
     enc_audio: LstmParams
     enc_visual: LstmParams
     fusion: FusionParams
@@ -63,25 +64,12 @@ class ModelParams:
         """C; the output layer covers C+1 classes including background."""
         return self.out_w.shape[0] - 1
 
-    def tensors(self):
-        """(name, array) pairs in the canonical order used by the optimizer,
-        the gradient checker and the checkpoint format."""
-        for name, arr in self.enc_audio.tensors():
-            yield "enc_audio." + name, arr
-        for name, arr in self.enc_visual.tensors():
-            yield "enc_visual." + name, arr
-        for name, arr in self.fusion.tensors():
-            yield "fusion." + name, arr
-        for name, arr in self.decoder.tensors():
-            yield "decoder." + name, arr
-        yield "out_w", self.out_w
-        yield "out_b", self.out_b
-
 
 def init_model_params(audio_dim: int, visual_dim: int, hidden_size: int,
                       num_events: int, rng: np.random.Generator,
                       dtype=np.float64) -> ModelParams:
-    """Draw order: audio encoder, visual encoder, fusion, decoder, output."""
+    """Draw order: audio encoder, visual encoder, fusion, decoder, output.
+    With rng=None nothing is drawn and the weight matrices are zero."""
     if num_events < 1:
         raise ValueError("num_events must be >= 1, got %d" % num_events)
     return ModelParams(
@@ -95,55 +83,8 @@ def init_model_params(audio_dim: int, visual_dim: int, hidden_size: int,
     )
 
 
-def zeros_model_params(audio_dim: int, visual_dim: int, hidden_size: int,
-                       num_events: int, dtype=np.float64) -> ModelParams:
-    return ModelParams(
-        enc_audio=lstm_mod.zeros_lstm_params(audio_dim, hidden_size, dtype),
-        enc_visual=lstm_mod.zeros_lstm_params(visual_dim, hidden_size, dtype),
-        fusion=fusion_mod.zeros_fusion_params(hidden_size, dtype),
-        decoder=lstm_mod.zeros_lstm_params(audio_dim + visual_dim, hidden_size, dtype),
-        out_w=np.zeros((num_events + 1, hidden_size), dtype=dtype),
-        out_b=np.zeros(num_events + 1, dtype=dtype),
-    )
-
-
-def zeros_like_model(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        enc_audio=lstm_mod.zeros_like_lstm(params.enc_audio),
-        enc_visual=lstm_mod.zeros_like_lstm(params.enc_visual),
-        fusion=fusion_mod.zeros_like_fusion(params.fusion),
-        decoder=lstm_mod.zeros_like_lstm(params.decoder),
-        out_w=np.zeros_like(params.out_w),
-        out_b=np.zeros_like(params.out_b),
-    )
-
-
-def clone_model(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        enc_audio=LstmParams(**{n: a.copy() for n, a in params.enc_audio.tensors()}),
-        enc_visual=LstmParams(**{n: a.copy() for n, a in params.enc_visual.tensors()}),
-        fusion=FusionParams(
-            g_h=fusion_mod.MlpParams(**{n: a.copy() for n, a in params.fusion.g_h.tensors()}),
-            g_c=fusion_mod.MlpParams(**{n: a.copy() for n, a in params.fusion.g_c.tensors()}),
-        ),
-        decoder=LstmParams(**{n: a.copy() for n, a in params.decoder.tensors()}),
-        out_w=params.out_w.copy(),
-        out_b=params.out_b.copy(),
-    )
-
-
 def cast_model(params: ModelParams, dtype) -> ModelParams:
-    return ModelParams(
-        enc_audio=LstmParams(**{n: a.astype(dtype) for n, a in params.enc_audio.tensors()}),
-        enc_visual=LstmParams(**{n: a.astype(dtype) for n, a in params.enc_visual.tensors()}),
-        fusion=FusionParams(
-            g_h=fusion_mod.MlpParams(**{n: a.astype(dtype) for n, a in params.fusion.g_h.tensors()}),
-            g_c=fusion_mod.MlpParams(**{n: a.astype(dtype) for n, a in params.fusion.g_c.tensors()}),
-        ),
-        decoder=LstmParams(**{n: a.astype(dtype) for n, a in params.decoder.tensors()}),
-        out_w=params.out_w.astype(dtype),
-        out_b=params.out_b.astype(dtype),
-    )
+    return params.map(lambda arr: arr.astype(dtype))
 
 
 @dataclass
@@ -156,7 +97,6 @@ class PredictionTrace:
     visual_trace: LstmTrace
     audio_state: LstmState
     visual_state: LstmState
-    fused: FusedState | None
     fusion_trace: FusionTrace | None
     dec_inputs: np.ndarray   # (T, d_a + d_v)
     dec_trace: LstmTrace
@@ -188,18 +128,16 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
         raise ShapeError("forward", audio.shape, visual.shape)
     if audio.shape[0] == 0:
         raise ValueError("forward: empty sequence")
-    a_state, a_trace = lstm_mod.encode_sequence(params.enc_audio, audio)
-    v_state, v_trace = lstm_mod.encode_sequence(params.enc_visual, visual)
+    a_state, a_trace = lstm_mod.run_lstm(params.enc_audio, audio)
+    v_state, v_trace = lstm_mod.run_lstm(params.enc_visual, visual)
 
-    fused = None
     fusion_trace = None
     if init_mode is DecoderInit.FUSION:
-        fused, fusion_trace = fusion_mod.fuse(params.fusion, a_state, v_state)
-        dec_init = LstmState(fused.h, fused.c)
+        dec_init, fusion_trace = fusion_mod.fuse(params.fusion, a_state, v_state)
     elif init_mode is DecoderInit.AUDIO_ONLY:
-        dec_init = LstmState(a_state.h, a_state.c)
+        dec_init = a_state
     elif init_mode is DecoderInit.VISUAL_ONLY:
-        dec_init = LstmState(v_state.h, v_state.c)
+        dec_init = v_state
     else:
         dec_init = LstmState(a_state.h + v_state.h, a_state.c + v_state.c)
 
@@ -214,16 +152,10 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
         params=params, init_mode=init_mode,
         audio_trace=a_trace, visual_trace=v_trace,
         audio_state=a_state, visual_state=v_state,
-        fused=fused, fusion_trace=fusion_trace,
+        fusion_trace=fusion_trace,
         dec_inputs=dec_inputs, dec_trace=dec_trace,
         logits=logits, probs=probs, pooled=pooled, pooled_probs=pooled_probs,
     )
-
-
-@dataclass
-class InputGrads:
-    audio: np.ndarray
-    visual: np.ndarray
 
 
 def model_backward(trace: PredictionTrace, dlogits: np.ndarray,
@@ -233,27 +165,20 @@ def model_backward(trace: PredictionTrace, dlogits: np.ndarray,
 
     extra_dh_audio / extra_dh_visual inject additional gradients on the
     encoder final hidden states (used by the label-guided auxiliary loss).
-    Returns (ModelParams-shaped grads, InputGrads).
+    Returns (ModelParams-shaped grads, None).
     """
     params = trace.params
     if dlogits.shape != trace.logits.shape:
         raise ShapeError("model_backward", trace.logits.shape, dlogits.shape)
-    grads = zeros_like_model(params)
-    grads.out_w[:] = dlogits.T @ trace.dec_trace.h
-    grads.out_b[:] = dlogits.sum(axis=0)
     dh_steps = dlogits @ params.out_w
-
-    dec_grads, d_dec_inputs, dh0, dc0 = lstm_mod.lstm_sequence_backward(
+    dec_grads, dh0, dc0 = lstm_mod.lstm_sequence_backward(
         params.decoder, trace.dec_trace, dh_steps=dh_steps)
-    grads.decoder = dec_grads
-    d_a = params.audio_dim
-    d_audio_in, d_visual_in = d_dec_inputs[:, :d_a], d_dec_inputs[:, d_a:]
 
     zero = np.zeros_like(dh0)
+    fusion_grads = params.fusion.map(np.zeros_like)  # stays zero unless FUSION
     if trace.init_mode is DecoderInit.FUSION:
-        f_grads, d_a_state, d_v_state = fusion_mod.fuse_backward(
+        fusion_grads, d_a_state, d_v_state = fusion_mod.fuse_backward(
             params.fusion, trace.fusion_trace, dh0, dc0)
-        grads.fusion = f_grads
     elif trace.init_mode is DecoderInit.AUDIO_ONLY:
         d_a_state = LstmState(dh0, dc0)
         d_v_state = LstmState(zero, zero)
@@ -267,13 +192,17 @@ def model_backward(trace: PredictionTrace, dlogits: np.ndarray,
     dh_a = d_a_state.h if extra_dh_audio is None else d_a_state.h + extra_dh_audio
     dh_v = d_v_state.h if extra_dh_visual is None else d_v_state.h + extra_dh_visual
 
-    enc_a_grads, dxa = lstm_mod.encode_backward(
-        params.enc_audio, trace.audio_trace, dh_a, d_a_state.c)
-    enc_v_grads, dxv = lstm_mod.encode_backward(
-        params.enc_visual, trace.visual_trace, dh_v, d_v_state.c)
-    grads.enc_audio = enc_a_grads
-    grads.enc_visual = enc_v_grads
-    return grads, InputGrads(audio=d_audio_in + dxa, visual=d_visual_in + dxv)
+    enc_a_grads, _, _ = lstm_mod.lstm_sequence_backward(
+        params.enc_audio, trace.audio_trace, dh_final=dh_a, dc_final=d_a_state.c)
+    enc_v_grads, _, _ = lstm_mod.lstm_sequence_backward(
+        params.enc_visual, trace.visual_trace, dh_final=dh_v, dc_final=d_v_state.c)
+    grads = ModelParams(enc_audio=enc_a_grads, enc_visual=enc_v_grads,
+                        fusion=fusion_grads, decoder=dec_grads,
+                        out_w=dlogits.T @ trace.dec_trace.h,
+                        out_b=dlogits.sum(axis=0))
+    # Input gradients are not computed; the pair stays for callers that
+    # unpack one.
+    return grads, None
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +224,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((len(labels), num_classes))
     out[np.arange(len(labels)), labels] = 1.0
     return out
-
-
-def labels_from_one_hot(rows: np.ndarray) -> np.ndarray:
-    """Inverse of one_hot; rejects rows that are not exactly one-hot."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ShapeError("labels_from_one_hot", ("T", "K"), rows.shape)
-    ok = np.isin(rows, (0.0, 1.0)).all() and (rows.sum(axis=1) == 1.0).all()
-    if not ok:
-        raise ValueError("malformed one-hot rows: each row must have exactly "
-                         "one entry equal to 1 and the rest 0")
-    return rows.argmax(axis=1)
 
 
 def video_label_from_segments(labels: np.ndarray, num_events: int) -> np.ndarray:

@@ -91,21 +91,3 @@ def softmax_grad(out: np.ndarray, gout: np.ndarray) -> np.ndarray:
         raise ShapeError("softmax_grad", out.shape, gout.shape)
     return out * (gout - np.dot(gout, out))
 
-
-def add_grad(gout: np.ndarray):
-    """Backward of elementwise a + b."""
-    return gout, gout
-
-
-def hadamard_grad(a: np.ndarray, b: np.ndarray, gout: np.ndarray):
-    """Backward of elementwise a * b: returns (grad wrt a, grad wrt b)."""
-    if a.shape != b.shape or a.shape != gout.shape:
-        raise ShapeError("hadamard_grad", a.shape, b.shape, gout.shape)
-    return gout * b, gout * a
-
-
-def concat_grad(split: int, gout: np.ndarray):
-    """Backward of concat((a, b)) where a had length `split`."""
-    if gout.ndim != 1 or not 0 <= split <= gout.shape[0]:
-        raise ShapeError("concat_grad", (split,), gout.shape)
-    return gout[:split], gout[split:]

@@ -25,6 +25,7 @@ from .data import DatasetManifest, FeatureSequence
 from .fusion import MlpParams
 from .model import DecoderInit, ModelParams
 from .ops import Precision
+from .tree import ParamTree
 
 SETTINGS = ("supervised", "weak")
 
@@ -89,27 +90,21 @@ class TrainConfig:
 
 
 @dataclass
-class AuxHeads:
+class AuxHeads(ParamTree):
     """Per-modality video-level classifier heads, h -> h -> C+1."""
 
-    audio: MlpParams
-    visual: MlpParams
-
-    def tensors(self):
-        for name, arr in self.audio.tensors():
-            yield "aux_audio." + name, arr
-        for name, arr in self.visual.tensors():
-            yield "aux_visual." + name, arr
+    aux_audio: MlpParams
+    aux_visual: MlpParams
 
 
 def init_aux_heads(hidden_size: int, num_events: int, rng: np.random.Generator,
                    dtype=np.float64) -> AuxHeads:
     """Draw order: audio head, then visual head."""
     return AuxHeads(
-        audio=fusion_mod.init_mlp_params(hidden_size, hidden_size,
-                                         num_events + 1, rng, dtype),
-        visual=fusion_mod.init_mlp_params(hidden_size, hidden_size,
-                                          num_events + 1, rng, dtype),
+        aux_audio=fusion_mod.init_mlp_params(hidden_size, hidden_size,
+                                             num_events + 1, rng, dtype),
+        aux_visual=fusion_mod.init_mlp_params(hidden_size, hidden_size,
+                                              num_events + 1, rng, dtype),
     )
 
 
@@ -119,12 +114,12 @@ def aux_objective(heads: AuxHeads, trace: model_mod.PredictionTrace,
 
     Returns (weighted loss, head grads, d(audio final h), d(visual final h)).
     """
-    out_a, tr_a = fusion_mod.mlp_forward(heads.audio, trace.audio_state.h)
-    out_v, tr_v = fusion_mod.mlp_forward(heads.visual, trace.visual_state.h)
+    out_a, tr_a = fusion_mod.mlp_forward(heads.aux_audio, trace.audio_state.h)
+    out_v, tr_v = fusion_mod.mlp_forward(heads.aux_visual, trace.visual_state.h)
     loss_a, dout_a = model_mod.bce_on_softmax(out_a, video_label)
     loss_v, dout_v = model_mod.bce_on_softmax(out_v, video_label)
-    grads_a, dh_a = fusion_mod.mlp_backward(heads.audio, tr_a, weight * dout_a)
-    grads_v, dh_v = fusion_mod.mlp_backward(heads.visual, tr_v, weight * dout_v)
+    grads_a, dh_a = fusion_mod.mlp_backward(heads.aux_audio, tr_a, weight * dout_a)
+    grads_v, dh_v = fusion_mod.mlp_backward(heads.aux_visual, tr_v, weight * dout_v)
     return weight * (loss_a + loss_v), AuxHeads(grads_a, grads_v), dh_a, dh_v
 
 
@@ -247,12 +242,9 @@ def _video_grads(params: ModelParams, seq: FeatureSequence, target,
     return loss + aux_loss, grads, aux_grads
 
 
-def _accumulate(acc: dict, grads, scale: float | None = None):
+def _accumulate(acc: dict, grads, scale: float):
     for name, arr in grads.tensors():
-        if scale is None:
-            acc[name] += arr
-        else:
-            acc[name] += scale * arr
+        acc[name] += scale * arr
 
 
 def train(manifest: DatasetManifest, cfg: TrainConfig,
@@ -332,7 +324,7 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
         if improved:
             result.best_val_accuracy = val_acc
             result.best_epoch = epoch
-            best_params = model_mod.clone_model(params)
+            best_params = params.map(np.copy)
             since_best = 0
         else:
             since_best += 1

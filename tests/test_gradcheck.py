@@ -40,7 +40,8 @@ def test_relative_error_denominator_is_guarded():
 
 
 def test_all_zero_parameters_are_degenerate_but_safe():
-    params = model.zeros_model_params(3, 4, 4, 2, dtype=np.float64)
+    params = model.init_model_params(3, 4, 4, 2, np.random.default_rng(0),
+                                     np.float64).map(np.zeros_like)
     rng = np.random.default_rng(0)
     audio = rng.uniform(-1, 1, size=(3, 3))
     visual = rng.uniform(-1, 1, size=(3, 4))

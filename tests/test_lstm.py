@@ -52,7 +52,7 @@ def test_step_matches_scalar_reference():
     x = rng.standard_normal(4)
     h0 = rng.standard_normal(5) * 0.5
     c0 = rng.standard_normal(5)
-    state, _ = lstm.lstm_step(p, lstm.LstmState(h0, c0), x)
+    state, _ = lstm.run_lstm(p, x[None, :], init=lstm.LstmState(h0, c0))
     want_h, want_c = ref.lstm_step(p, x, h0, c0)
     assert np.allclose(state.h, want_h, atol=1e-14)
     assert np.allclose(state.c, want_c, atol=1e-14)
@@ -70,27 +70,13 @@ def test_gate_and_hidden_ranges():
     assert np.all(np.isfinite(trace.c))
 
 
-def test_run_equals_composition_of_steps_bitwise():
-    rng = np.random.default_rng(3)
-    p = make_params(seed=3)
-    xs = rng.standard_normal((7, 3))
-    state, trace = lstm.run_lstm(p, xs)
-    cur = lstm.LstmState(np.zeros(4), np.zeros(4))
-    for t in range(7):
-        cur, st = lstm.lstm_step(p, cur, xs[t])
-        assert np.array_equal(trace.h[t], st.h)
-        assert np.array_equal(trace.c[t], st.c)
-    assert np.array_equal(state.h, cur.h)
-    assert np.array_equal(state.c, cur.c)
-
-
 def test_encoder_starts_from_zero_state():
     p = make_params(seed=4)
     xs = np.random.default_rng(4).standard_normal((3, 3))
-    _, trace = lstm.encode_sequence(p, xs)
+    state, trace = lstm.run_lstm(p, xs)
     assert not trace.h0.any() and not trace.c0.any()
     explicit, _ = lstm.run_lstm(p, xs, init=lstm.LstmState(np.zeros(4), np.zeros(4)))
-    assert np.array_equal(trace.final_state().h, explicit.h)
+    assert np.array_equal(state.h, explicit.h)
 
 
 def test_sequence_matches_scalar_reference():
@@ -106,13 +92,11 @@ def test_sequence_matches_scalar_reference():
 
 def test_shape_errors():
     p = make_params()
-    good = lstm.LstmState(np.zeros(4), np.zeros(4))
-    with pytest.raises(ops.ShapeError):
-        lstm.lstm_step(p, good, np.zeros(5))
-    with pytest.raises(ops.ShapeError):
-        lstm.lstm_step(p, lstm.LstmState(np.zeros(3), np.zeros(4)), np.zeros(3))
     with pytest.raises(ops.ShapeError):
         lstm.run_lstm(p, np.zeros((2, 5)))
+    with pytest.raises(ops.ShapeError):
+        lstm.run_lstm(p, np.zeros((2, 3)),
+                      init=lstm.LstmState(np.zeros(3), np.zeros(4)))
     with pytest.raises(ValueError):
         lstm.run_lstm(p, np.zeros((0, 3)))
 
@@ -121,9 +105,9 @@ def _loss_and_grads(p, xs, r, s, q, init=None):
     """Scalar probe loss <r, h> + <s, h_T> + <q, c_T> and its gradients."""
     state, trace = lstm.run_lstm(p, xs, init=init)
     loss = float((trace.h * r).sum() + state.h @ s + state.c @ q)
-    grads, dxs, dh0, dc0 = lstm.lstm_sequence_backward(
+    grads, dh0, dc0 = lstm.lstm_sequence_backward(
         p, trace, dh_steps=r, dh_final=s, dc_final=q)
-    return loss, grads, dxs, dh0, dc0
+    return loss, grads, dh0, dc0
 
 
 def test_backward_matches_finite_differences():
@@ -137,7 +121,7 @@ def test_backward_matches_finite_differences():
     h0 = rng.standard_normal(h) * 0.3
     c0 = rng.standard_normal(h) * 0.3
     init = lstm.LstmState(h0, c0)
-    _, grads, dxs, dh0, dc0 = _loss_and_grads(p, xs, r, s, q, init)
+    _, grads, dh0, dc0 = _loss_and_grads(p, xs, r, s, q, init)
 
     eps = 1e-6
 
@@ -156,7 +140,6 @@ def test_backward_matches_finite_differences():
     for name, arr in p.tensors():
         got = dict(grads.tensors())[name]
         assert np.allclose(got, numeric(arr), atol=1e-7), name
-    assert np.allclose(dxs, numeric(xs), atol=1e-7)
     assert np.allclose(dh0, numeric(h0), atol=1e-7)
     assert np.allclose(dc0, numeric(c0), atol=1e-7)
 
@@ -167,18 +150,19 @@ def test_backward_final_state_only():
     xs = rng.standard_normal((4, 3))
     s = rng.standard_normal(4)
     state, trace = lstm.run_lstm(p, xs)
-    grads, dxs, dh0, dc0 = lstm.lstm_sequence_backward(p, trace, dh_final=s)
+    grads, _, _ = lstm.lstm_sequence_backward(p, trace, dh_final=s)
     eps = 1e-6
-    num = np.zeros_like(xs)
-    for j in range(xs.size):
-        orig = xs.flat[j]
-        xs.flat[j] = orig + eps
-        up = float(lstm.run_lstm(p, xs)[0].h @ s)
-        xs.flat[j] = orig - eps
-        down = float(lstm.run_lstm(p, xs)[0].h @ s)
-        xs.flat[j] = orig
-        num.flat[j] = (up - down) / (2 * eps)
-    assert np.allclose(dxs, num, atol=1e-7)
+    for name, arr in p.tensors():
+        num = np.zeros_like(arr)
+        for j in range(arr.size):
+            orig = arr.flat[j]
+            arr.flat[j] = orig + eps
+            up = float(lstm.run_lstm(p, xs)[0].h @ s)
+            arr.flat[j] = orig - eps
+            down = float(lstm.run_lstm(p, xs)[0].h @ s)
+            arr.flat[j] = orig
+            num.flat[j] = (up - down) / (2 * eps)
+        assert np.allclose(dict(grads.tensors())[name], num, atol=1e-7), name
 
 
 def test_backward_rejects_mismatched_dh_steps():

@@ -124,21 +124,3 @@ def test_softmax_grad_matches_finite_differences():
     grad = ops.softmax_grad(out, gout)
     num = finite_diff(lambda xx: float(gout @ ops.softmax(xx)), x)
     assert np.allclose(grad, num, atol=1e-8)
-
-
-def test_hadamard_and_add_grads():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal(5)
-    b = rng.standard_normal(5)
-    gout = rng.standard_normal(5)
-    da, db = ops.hadamard_grad(a, b, gout)
-    assert np.allclose(da, gout * b) and np.allclose(db, gout * a)
-    da, db = ops.add_grad(gout)
-    assert np.array_equal(da, gout) and np.array_equal(db, gout)
-
-
-def test_concat_grad_splits_at_boundary():
-    gout = np.arange(7.0)
-    left, right = ops.concat_grad(3, gout)
-    assert np.array_equal(left, gout[:3])
-    assert np.array_equal(right, gout[3:])

@@ -199,8 +199,8 @@ def test_label_guided_gradients_match_finite_differences():
     def total_loss():
         trace = model.forward(params, audio, visual, DecoderInit.SUM)
         loss, _ = model.weak_objective(trace, y)
-        out_a, _ = fusion.mlp_forward(aux.audio, trace.audio_state.h)
-        out_v, _ = fusion.mlp_forward(aux.visual, trace.visual_state.h)
+        out_a, _ = fusion.mlp_forward(aux.aux_audio, trace.audio_state.h)
+        out_v, _ = fusion.mlp_forward(aux.aux_visual, trace.visual_state.h)
         loss_a, _ = model.bce_on_softmax(out_a, y)
         loss_v, _ = model.bce_on_softmax(out_v, y)
         return loss + weight * (loss_a + loss_v)
