@@ -198,13 +198,20 @@ def read_manifest(path) -> DatasetManifest:
             header[key.strip()] = value.strip()
         else:
             raise ManifestError("%s:%d: unparseable line %r" % (path, lineno, line))
+    def integer(key):
+        try:
+            return int(header[key])
+        except ValueError:
+            raise ManifestError("%s: header key %s must be an integer, got %r"
+                                % (path, key, header[key])) from None
+
     try:
         manifest = DatasetManifest(
-            num_events=int(header["C"]),
+            num_events=integer("C"),
             categories=[c for c in header["categories"].split(",") if c],
-            audio_dim=int(header["d_a"]),
-            visual_dim=int(header["d_v"]),
-            num_segments=int(header["T"]),
+            audio_dim=integer("d_a"),
+            visual_dim=integer("d_v"),
+            num_segments=integer("T"),
             entries=entries,
             root=path.parent,
         )

@@ -2,6 +2,10 @@
 
 Central differences with a configurable epsilon, run in 64-bit precision
 on a deliberately tiny model so every parameter entry can be perturbed.
+Every training path is checked: each decoder-init row of
+`trainer.INIT_MODES` under both losses, the label-guided auxiliary heads
+included, with the analytic gradients from the trainer's own per-video
+step.
 The error measure is |analytic - numeric| / max(1, |numeric|); the guard
 in the denominator keeps zero-gradient entries well defined.
 """
@@ -11,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
+from . import trainer
+from .data import FeatureSequence
 
 TINY_DIMS = dict(audio_dim=5, visual_dim=7, hidden_size=4, num_events=3)
 TINY_STEPS = 4
@@ -59,20 +65,21 @@ class GradcheckResult:
     tolerance: float
     max_rel_error: float
     worst_tensor: str
-    per_loss: dict
+    per_path: dict  # "init_mode/setting" -> (max rel err, worst tensor)
 
     def summary(self) -> str:
         lines = ["gradcheck: %s (tolerance %g)"
                  % ("PASS" if self.passed else "FAIL", self.tolerance)]
-        for loss_name, (err, tensor) in self.per_loss.items():
-            lines.append("  %-10s max rel err %.3e (worst tensor %s)"
-                         % (loss_name, err, tensor))
+        for path, (err, tensor) in self.per_path.items():
+            lines.append("  %-24s max rel err %.3e (worst tensor %s)"
+                         % (path, err, tensor))
         return "\n".join(lines)
 
 
 def run_gradcheck(seed: int = 0, eps: float = 1e-5,
                   tolerance: float = 1e-4) -> GradcheckResult:
-    """Check both training losses on a tiny model, every parameter entry."""
+    """Check every init mode under both losses on a tiny model, every
+    parameter entry."""
     rng = np.random.default_rng(seed)
     params = model_mod.init_model_params(rng=rng, dtype=np.float64, **TINY_DIMS)
     steps = TINY_STEPS
@@ -80,26 +87,40 @@ def run_gradcheck(seed: int = 0, eps: float = 1e-5,
     visual = rng.uniform(-1.0, 1.0, size=(steps, params.visual_dim))
     labels = rng.integers(0, params.num_events + 1, size=steps)
     video_label = model_mod.video_label_from_segments(labels, params.num_events)
-    tensors = dict(params.tensors())
+    heads = trainer.init_aux_heads(params.hidden_size, params.num_events, rng,
+                                   np.float64)
+    seq = FeatureSequence("gradcheck", audio, visual, labels, params.num_events)
+    weight = trainer.TrainConfig().aux_weight
 
-    def run(loss_name):
-        def value():
-            trace = model_mod.forward(params, audio, visual)
-            if loss_name == "supervised":
-                return model_mod.supervised_objective(trace, labels)[0]
-            return model_mod.weak_objective(trace, video_label)[0]
-
-        trace = model_mod.forward(params, audio, visual)
-        if loss_name == "supervised":
-            _, grads = model_mod.supervised_loss(trace, labels)
+    def run(init_mode, setting):
+        dec_init, use_aux = trainer.INIT_MODES[init_mode]
+        aux = heads if use_aux else None
+        if setting == "supervised":
+            objective, target = model_mod.supervised_objective, labels
         else:
-            _, grads = model_mod.weak_loss(trace, video_label)
-        numeric = finite_difference_grads(value, tensors, eps)
-        return max_relative_error(dict(grads.tensors()), numeric)
+            objective, target = model_mod.weak_objective, video_label
+        tensors = dict(params.tensors())
+        if aux is not None:
+            tensors.update(aux.tensors())
 
-    per_loss = {name: run(name) for name in ("supervised", "weak")}
-    max_err, worst = max(((err, tensor) for err, tensor in per_loss.values()),
-                         key=lambda pair: pair[0])
+        def value():
+            trace = model_mod.forward(params, audio, visual, dec_init)
+            loss = objective(trace, target)[0]
+            if aux is not None:
+                loss += trainer.aux_objective(aux, trace, video_label, weight)[0]
+            return loss
+
+        _, grads, aux_grads = trainer._video_grads(
+            params, seq, target, setting, dec_init, aux, weight, video_label)
+        analytic = dict(grads.tensors())
+        if aux_grads is not None:
+            analytic.update(aux_grads.tensors())
+        numeric = finite_difference_grads(value, tensors, eps)
+        return max_relative_error(analytic, numeric)
+
+    per_path = {"%s/%s" % (init_mode, setting): run(init_mode, setting)
+                for init_mode in trainer.INIT_MODES for setting in trainer.SETTINGS}
+    max_err, worst = max(per_path.values(), key=lambda pair: pair[0])
     return GradcheckResult(passed=max_err < tolerance, tolerance=tolerance,
                            max_rel_error=max_err, worst_tensor=worst,
-                           per_loss=per_loss)
+                           per_path=per_path)

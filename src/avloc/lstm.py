@@ -10,6 +10,14 @@ Gate equations (gate order f, i, o, candidate):
     h_t = o_t * tanh(c_t)
 
 Sequences start from h_0 = c_0 = 0 unless an initial state is given.
+
+The four gates are stored packed: W is (4h, d), U is (4h, h) and b is
+(4h,), with the row blocks of h in gate order f, i, o, c.  A step makes
+one W x_t and one U h_{t-1} matvec for all gates, and backprop adds one
+outer product each into dW and dU.  `LstmParams.tensors()` yields the
+per-gate row blocks (Wf, Uf, bf, Wi, ...) as views of the packed arrays,
+so whatever writes through them (Adam, checkpoint loading, finite
+differences) writes into the packed weights.
 """
 
 import math
@@ -26,29 +34,30 @@ GATES = ("f", "i", "o", "c")
 
 @dataclass
 class LstmParams(ParamTree):
-    """Weight bundle for one LSTM. W_g: (h, d), U_g: (h, h), b_g: (h,).
-    Fields are in canonical order: per gate f, i, o, c the triple W, U, b."""
+    """Weight bundle for one LSTM: w (4h, d), u (4h, h), b (4h,), each the
+    row blocks of gates f, i, o, c stacked in that order."""
 
-    wf: np.ndarray
-    uf: np.ndarray
-    bf: np.ndarray
-    wi: np.ndarray
-    ui: np.ndarray
-    bi: np.ndarray
-    wo: np.ndarray
-    uo: np.ndarray
-    bo: np.ndarray
-    wc: np.ndarray
-    uc: np.ndarray
-    bc: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
+
+    def tensors(self, prefix: str = ""):
+        """Per-gate views in canonical order: for gates f, i, o, c the
+        triple W, U, b, named wf, uf, bf, wi, ..., bc."""
+        h = self.hidden_size
+        for k, gate in enumerate(GATES):
+            rows = slice(k * h, (k + 1) * h)
+            yield prefix + "w" + gate, self.w[rows]
+            yield prefix + "u" + gate, self.u[rows]
+            yield prefix + "b" + gate, self.b[rows]
 
     @property
     def input_size(self) -> int:
-        return self.wf.shape[1]
+        return self.w.shape[1]
 
     @property
     def hidden_size(self) -> int:
-        return self.wf.shape[0]
+        return self.u.shape[1]
 
 
 @dataclass
@@ -59,18 +68,36 @@ class LstmState:
 
 @dataclass
 class LstmTrace:
-    """Stacked per-step activations for a whole sequence (each (T, h))."""
+    """Stacked per-step activations for a whole sequence: the gate
+    activations f, i, o, g side by side in `gates` (T, 4h), the rest (T, h)."""
 
     xs: np.ndarray
     h0: np.ndarray
     c0: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray
     c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray
+
+    def _gate(self, k: int) -> np.ndarray:
+        size = self.h.shape[1]
+        return self.gates[:, k * size:(k + 1) * size]
+
+    @property
+    def f(self) -> np.ndarray:
+        return self._gate(0)
+
+    @property
+    def i(self) -> np.ndarray:
+        return self._gate(1)
+
+    @property
+    def o(self) -> np.ndarray:
+        return self._gate(2)
+
+    @property
+    def g(self) -> np.ndarray:
+        return self._gate(3)
 
 
 def _glorot(rng: np.random.Generator | None, rows: int, cols: int,
@@ -87,19 +114,22 @@ def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator
     """Glorot-uniform weights, zero biases except the forget bias.
 
     RNG draw order is fixed (Wf, Uf, Wi, Ui, Wo, Uo, Wc, Uc) so a seeded
-    generator reproduces the same parameters.
+    generator reproduces the same parameters.  With rng=None nothing is
+    drawn and the weights are zero.
     """
     if input_size < 1 or hidden_size < 1:
         raise ValueError("LSTM sizes must be >= 1, got d=%d h=%d"
                          % (input_size, hidden_size))
     d, h = input_size, hidden_size
-    fields = {}
-    for g in GATES:
-        fields["w" + g] = _glorot(rng, h, d, dtype)
-        fields["u" + g] = _glorot(rng, h, h, dtype)
-        fields["b" + g] = np.zeros(h, dtype=dtype)
-    fields["bf"] = np.full(h, forget_bias, dtype=dtype)
-    return LstmParams(**fields)
+    w = np.zeros((4 * h, d), dtype=dtype)
+    u = np.zeros((4 * h, h), dtype=dtype)
+    b = np.zeros(4 * h, dtype=dtype)
+    b[:h] = forget_bias
+    if rng is not None:
+        for k in range(len(GATES)):
+            w[k * h:(k + 1) * h] = _glorot(rng, h, d, dtype)
+            u[k * h:(k + 1) * h] = _glorot(rng, h, h, dtype)
+    return LstmParams(w, u, b)
 
 
 def run_lstm(params: LstmParams, xs: np.ndarray,
@@ -112,24 +142,23 @@ def run_lstm(params: LstmParams, xs: np.ndarray,
     steps = xs.shape[0]
     if steps == 0:
         raise ValueError("run_lstm: empty sequence")
-    dtype = params.wf.dtype  # parameter precision governs the activations
+    dtype = params.w.dtype  # parameter precision governs the activations
     if init is None:
         init = LstmState(np.zeros(h, dtype=dtype), np.zeros(h, dtype=dtype))
     if init.h.shape != (h,) or init.c.shape != (h,):
         raise ShapeError("run_lstm state", (h,), init.h.shape, init.c.shape)
-    trace = LstmTrace(xs, init.h, init.c,
-                      *(np.empty((steps, h), dtype=dtype) for _ in range(7)))
+    trace = LstmTrace(xs, init.h, init.c, np.empty((steps, 4 * h), dtype=dtype),
+                      *(np.empty((steps, h), dtype=dtype) for _ in range(3)))
     h_prev, c_prev = init.h, init.c
     for t in range(steps):
-        x = xs[t]
-        f = ops.sigmoid(ops.matvec(params.wf, x) + ops.matvec(params.uf, h_prev) + params.bf)
-        i = ops.sigmoid(ops.matvec(params.wi, x) + ops.matvec(params.ui, h_prev) + params.bi)
-        o = ops.sigmoid(ops.matvec(params.wo, x) + ops.matvec(params.uo, h_prev) + params.bo)
-        g = ops.tanh(ops.matvec(params.wc, x) + ops.matvec(params.uc, h_prev) + params.bc)
+        z = params.w @ xs[t] + params.u @ h_prev + params.b
+        sig = ops.sigmoid(z[:3 * h])
+        g = ops.tanh(z[3 * h:])
+        f, i, o = sig[:h], sig[h:2 * h], sig[2 * h:]
         c_prev = f * c_prev + i * g
         tanh_c = ops.tanh(c_prev)
         h_prev = o * tanh_c
-        trace.f[t], trace.i[t], trace.o[t], trace.g[t] = f, i, o, g
+        trace.gates[t, :3 * h], trace.gates[t, 3 * h:] = sig, g
         trace.c[t], trace.tanh_c[t], trace.h[t] = c_prev, tanh_c, h_prev
     return LstmState(h_prev, c_prev), trace
 
@@ -146,12 +175,16 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
     gradients on the initial state.
     """
     steps, h = trace.h.shape
-    if trace.f.shape != (steps, h) or params.hidden_size != h:
-        raise ShapeError("lstm_sequence_backward", (steps, h), trace.f.shape,
-                         (params.hidden_size,))
+    if trace.gates.shape != (steps, 4 * h) or params.hidden_size != h:
+        raise ShapeError("lstm_sequence_backward", (steps, 4 * h),
+                         trace.gates.shape, (params.hidden_size,))
     if dh_steps is not None and dh_steps.shape != (steps, h):
         raise ShapeError("lstm_sequence_backward dh_steps", (steps, h), dh_steps.shape)
     grads = params.map(np.zeros_like)
+    # The per-step outer products land in one buffer, allocated per call.
+    d = params.input_size
+    scratch = np.empty((4 * h, max(d, h)), dtype=grads.w.dtype)
+    outer_w, outer_u = scratch[:, :d], scratch[:, :h]
     dh_next = np.zeros(h, dtype=trace.h.dtype)
     dc_next = np.zeros(h, dtype=trace.h.dtype)
     if dh_final is not None:
@@ -160,24 +193,24 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
         dc_next = dc_next + dc_final
     for t in range(steps - 1, -1, -1):
         dh = dh_next if dh_steps is None else dh_next + dh_steps[t]
-        f, i, o, g = trace.f[t], trace.i[t], trace.o[t], trace.g[t]
+        act = trace.gates[t]
+        f, i, o, g = act[:h], act[h:2 * h], act[2 * h:3 * h], act[3 * h:]
         h_prev = trace.h[t - 1] if t > 0 else trace.h0
         c_prev = trace.c[t - 1] if t > 0 else trace.c0
         do = dh * trace.tanh_c[t]
         dc = ops.tanh_grad(trace.tanh_c[t], dh * o) + dc_next
-        d_pre = {
-            "f": ops.sigmoid_grad(f, dc * c_prev),
-            "i": ops.sigmoid_grad(i, dc * g),
-            "o": ops.sigmoid_grad(o, do),
-            "c": ops.tanh_grad(g, dc * i),
-        }
+        dz = np.concatenate((ops.sigmoid_grad(f, dc * c_prev),
+                             ops.sigmoid_grad(i, dc * g),
+                             ops.sigmoid_grad(o, do),
+                             ops.tanh_grad(g, dc * i)))
+        grads.w += np.outer(dz, trace.xs[t], out=outer_w)
+        grads.u += np.outer(dz, h_prev, out=outer_u)
+        grads.b += dz
+        # Per gate and in gate order: one packed U.T @ dz would sum the
+        # four gates' terms in another order.
         dh_next = np.zeros(h, dtype=trace.h.dtype)
-        for gate, dz in d_pre.items():
-            du, dh_part = ops.matvec_grad(getattr(params, "u" + gate), h_prev, dz)
-            getattr(grads, "w" + gate)[:] += np.outer(dz, trace.xs[t])
-            getattr(grads, "u" + gate)[:] += du
-            getattr(grads, "b" + gate)[:] += dz
-            dh_next += dh_part
+        for k in range(len(GATES)):
+            rows = slice(k * h, (k + 1) * h)
+            dh_next += params.u[rows].T @ dz[rows]
         dc_next = dc * f
     return grads, dh_next, dc_next
-

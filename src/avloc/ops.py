@@ -48,13 +48,11 @@ def matvec_grad(m: np.ndarray, x: np.ndarray, gout: np.ndarray):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated piecewise so exp never overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, evaluated piecewise so exp never overflows:
+    1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere.  min(x, -x)
+    is -|x| that keeps a NaN's sign bit."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid_grad(out: np.ndarray, gout: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything here is written with explicit Python loops and math.exp /
 math.tanh on floats, deliberately sharing no code with the package, so
 the vectorized implementation can be checked against it.  Parameters are
-read from the package's dataclasses but only ever indexed elementwise.
+read from the package's dataclasses, LSTM gates by their canonical tensor
+names (wf, uf, bf, ...), but only ever indexed elementwise.
 """
 
 import math
@@ -25,16 +26,17 @@ def matvec(m, x):
 def lstm_step(p, x, h_prev, c_prev):
     """One LSTM step; returns (h, c) as Python lists."""
     size = len(h_prev)
+    t = dict(p.tensors())
 
-    def gate(w, u, b, squash):
-        wx = matvec(w, x)
-        uh = matvec(u, h_prev)
-        return [squash(wx[k] + uh[k] + float(b[k])) for k in range(size)]
+    def gate(name, squash):
+        wx = matvec(t["w" + name], x)
+        uh = matvec(t["u" + name], h_prev)
+        return [squash(wx[k] + uh[k] + float(t["b" + name][k])) for k in range(size)]
 
-    f = gate(p.wf, p.uf, p.bf, sigmoid)
-    i = gate(p.wi, p.ui, p.bi, sigmoid)
-    o = gate(p.wo, p.uo, p.bo, sigmoid)
-    g = gate(p.wc, p.uc, p.bc, math.tanh)
+    f = gate("f", sigmoid)
+    i = gate("i", sigmoid)
+    o = gate("o", sigmoid)
+    g = gate("c", math.tanh)
     c = [f[k] * float(c_prev[k]) + i[k] * g[k] for k in range(size)]
     h = [o[k] * math.tanh(c[k]) for k in range(size)]
     return h, c
@@ -42,7 +44,7 @@ def lstm_step(p, x, h_prev, c_prev):
 
 def run_lstm(p, xs, h0=None, c0=None):
     """All hidden states plus the final (h, c), starting from zeros."""
-    size = p.uf.shape[0]
+    size = dict(p.tensors())["uf"].shape[0]
     h = list(h0) if h0 is not None else [0.0] * size
     c = list(c0) if c0 is not None else [0.0] * size
     hs = []

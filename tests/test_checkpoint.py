@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,26 @@ def test_corrupt_files_are_rejected(tmp_path):
     path.write_bytes(blob[:14] + (0).to_bytes(4, "little") + blob[18:])
     with pytest.raises(binio.FormatError):
         checkpoint.load_model(path)
+
+
+def test_header_size_is_checked_before_allocating(tmp_path):
+    # d_a=1, d_v=1, h=60000, C=1 declares 57.6e9 parameters and no tensor
+    # bytes follow.
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(b"AVSM" + (1).to_bytes(2, "little")
+                     + b"".join(v.to_bytes(4, "little") for v in (1, 1, 60000, 1)))
+    assert path.stat().st_size == 22
+    tracemalloc.start()
+    try:
+        with pytest.raises(binio.FormatError):
+            checkpoint.load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_param_count_matches_the_tensors():
+    params = model.init_model_params(3, 4, 5, 2, None)
+    assert checkpoint._param_count(3, 4, 5, 2) == sum(
+        arr.size for _, arr in params.tensors())

@@ -144,6 +144,19 @@ def test_manifest_rejects_unknown_split_and_bad_lines(tmp_path):
         make_manifest().split("dev")
 
 
+@pytest.mark.parametrize("key", ["C", "d_a", "d_v", "T"])
+def test_manifest_rejects_non_integer_header_values(tmp_path, key):
+    path = tmp_path / "m.txt"
+    data.write_manifest(make_manifest(), path)
+    lines = [key + "=abc" if line.startswith(key + "=") else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(data.ManifestError) as info:
+        data.read_manifest(path)
+    assert str(path) in str(info.value) and key in str(info.value)
+    assert "'abc'" in str(info.value)
+
+
 def test_load_split_checks_dimensions(tmp_path):
     manifest = make_manifest(root=tmp_path)
     data.write_features(make_seq(t=5, d_a=3, d_v=4, c=2, video_id="a"),

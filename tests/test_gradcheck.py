@@ -1,6 +1,6 @@
 import numpy as np
 
-from avloc import gradcheck, model, ops
+from avloc import gradcheck, model, ops, trainer
 
 
 def test_gradcheck_passes_with_tiny_error():
@@ -8,7 +8,11 @@ def test_gradcheck_passes_with_tiny_error():
     assert result.passed
     assert result.max_rel_error < 1e-6
     assert result.worst_tensor
-    assert set(result.per_loss) == {"supervised", "weak"}
+    assert list(result.per_path) == [
+        "%s/%s" % (init, setting) for init in trainer.INIT_MODES
+        for setting in ("supervised", "weak")]
+    assert len(result.per_path) == 8
+    assert all(err < 1e-6 for err, _ in result.per_path.values())
     assert "PASS" in result.summary()
 
 
@@ -20,6 +24,21 @@ def test_gradcheck_catches_broken_tanh_grad(monkeypatch):
     result = gradcheck.run_gradcheck(seed=0)
     assert not result.passed
     assert "FAIL" in result.summary()
+
+
+def test_gradcheck_covers_the_aux_heads(monkeypatch):
+    real = trainer.aux_objective
+
+    def doubled_head_grads(*args):
+        loss, grads, dh_a, dh_v = real(*args)
+        return loss, grads.map(lambda g: 2.0 * g), dh_a, dh_v
+
+    monkeypatch.setattr(trainer, "aux_objective", doubled_head_grads)
+    result = gradcheck.run_gradcheck(seed=0)
+    failed = {path for path, (err, _) in result.per_path.items()
+              if err >= result.tolerance}
+    assert failed == {"label_guided/supervised", "label_guided/weak"}
+    assert not result.passed and result.worst_tensor.startswith("aux_")
 
 
 def test_gradcheck_catches_broken_sigmoid_grad(monkeypatch):

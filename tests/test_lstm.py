@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from avloc import lstm, ops
+from avloc import checkpoint, lstm, model, ops
 
 import _reference as ref
 
@@ -17,12 +17,14 @@ def test_init_shapes_bounds_and_forget_bias():
     assert p.input_size == 5 and p.hidden_size == 3
     lim_w = math.sqrt(6.0 / (3 + 5))
     lim_u = math.sqrt(6.0 / (3 + 3))
+    t = dict(p.tensors())
     for g in lstm.GATES:
-        w, u, b = getattr(p, "w" + g), getattr(p, "u" + g), getattr(p, "b" + g)
+        w, u, b = t["w" + g], t["u" + g], t["b" + g]
         assert w.shape == (3, 5) and u.shape == (3, 3) and b.shape == (3,)
         assert np.abs(w).max() <= lim_w and np.abs(u).max() <= lim_u
-    assert np.array_equal(p.bf, np.ones(3))
-    assert not p.bi.any() and not p.bo.any() and not p.bc.any()
+    assert p.w.shape == (12, 5) and p.u.shape == (12, 3) and p.b.shape == (12,)
+    assert np.array_equal(t["bf"], np.ones(3))
+    assert not t["bi"].any() and not t["bo"].any() and not t["bc"].any()
 
 
 def test_init_is_deterministic_per_seed():
@@ -170,3 +172,99 @@ def test_backward_rejects_mismatched_dh_steps():
     _, trace = lstm.run_lstm(p, np.zeros((3, 3)))
     with pytest.raises(ops.ShapeError):
         lstm.lstm_sequence_backward(p, trace, dh_steps=np.zeros((2, 4)))
+
+
+def _masked_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _per_gate_lstm(p, xs, h0, c0, dh_steps, dh_final, dc_final):
+    """The unpacked algorithm: two matvecs per gate per step forward, and
+    per gate one outer product each into dW and dU backward.  Weights are
+    copied out into separate per-gate arrays first."""
+    t = {name: arr.copy() for name, arr in p.tensors()}
+    h_prev, c_prev = h0, c0
+    rec = {k: [] for k in ("f", "i", "o", "g", "c", "tanh_c", "h")}
+    for x in xs:
+        f = _masked_sigmoid(t["wf"] @ x + t["uf"] @ h_prev + t["bf"])
+        i = _masked_sigmoid(t["wi"] @ x + t["ui"] @ h_prev + t["bi"])
+        o = _masked_sigmoid(t["wo"] @ x + t["uo"] @ h_prev + t["bo"])
+        g = np.tanh(t["wc"] @ x + t["uc"] @ h_prev + t["bc"])
+        c_prev = f * c_prev + i * g
+        tanh_c = np.tanh(c_prev)
+        h_prev = o * tanh_c
+        for key, val in zip(rec, (f, i, o, g, c_prev, tanh_c, h_prev)):
+            rec[key].append(val)
+    rec = {key: np.stack(vals) for key, vals in rec.items()}
+    grads = {name: np.zeros_like(arr) for name, arr in t.items()}
+    dh_next = np.zeros_like(h0) + dh_final
+    dc_next = np.zeros_like(c0) + dc_final
+    for s in range(len(xs) - 1, -1, -1):
+        dh = dh_next + dh_steps[s]
+        f, i, o, g = rec["f"][s], rec["i"][s], rec["o"][s], rec["g"][s]
+        tanh_c = rec["tanh_c"][s]
+        hp = rec["h"][s - 1] if s > 0 else h0
+        cp = rec["c"][s - 1] if s > 0 else c0
+        do = dh * tanh_c
+        dc = (dh * o) * (1.0 - tanh_c * tanh_c) + dc_next
+        dz = {"f": (dc * cp) * f * (1.0 - f), "i": (dc * g) * i * (1.0 - i),
+              "o": do * o * (1.0 - o), "c": (dc * i) * (1.0 - g * g)}
+        dh_next = np.zeros_like(h0)
+        for gate, d in dz.items():
+            grads["w" + gate] += np.outer(d, xs[s])
+            grads["u" + gate] += np.outer(d, hp)
+            grads["b" + gate] += d
+            dh_next += t["u" + gate].T @ d
+        dc_next = dc * f
+    return rec, h_prev, c_prev, grads, dh_next, dc_next
+
+
+@pytest.mark.parametrize("d,h", [(16, 32), (24, 32), (40, 32), (128, 128),
+                                 (512, 128), (640, 128)])
+def test_packed_lstm_is_bitwise_the_per_gate_algorithm(d, h):
+    rng = np.random.default_rng(d + h)
+    p = lstm.init_lstm_params(d, h, rng, np.float32)
+    steps = 10
+    xs = rng.standard_normal((steps, d)).astype(np.float32)
+    h0, c0, dh_final, dc_final = (rng.standard_normal(h).astype(np.float32)
+                                  for _ in range(4))
+    dh_steps = rng.standard_normal((steps, h)).astype(np.float32)
+    rec, h_last, c_last, want, dh0_want, dc0_want = _per_gate_lstm(
+        p, xs, h0, c0, dh_steps, dh_final, dc_final)
+    state, trace = lstm.run_lstm(p, xs, init=lstm.LstmState(h0, c0))
+    for key, arr in rec.items():
+        assert np.array_equal(getattr(trace, key), arr), key
+    assert np.array_equal(state.h, h_last) and np.array_equal(state.c, c_last)
+    grads, dh0, dc0 = lstm.lstm_sequence_backward(
+        p, trace, dh_steps=dh_steps, dh_final=dh_final, dc_final=dc_final)
+    got = dict(grads.tensors())
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name].dtype == np.float32
+        assert np.array_equal(got[name], want[name]), name
+    assert np.array_equal(dh0, dh0_want) and np.array_equal(dc0, dc0_want)
+
+
+def test_tensors_are_contiguous_views_of_the_packed_arrays(tmp_path):
+    params = model.init_model_params(5, 7, 4, 3, np.random.default_rng(3),
+                                     np.float32)
+    checkpoint.save_model(params, tmp_path / "m.ckpt")
+    loaded = checkpoint.load_model(tmp_path / "m.ckpt")
+    cast = model.cast_model(loaded, np.float32)
+    for bundle in (params, loaded, cast):
+        for name, arr in bundle.tensors():
+            assert arr.flags.c_contiguous, name
+            assert np.shares_memory(arr.reshape(-1), arr), name
+        for lp in (bundle.enc_audio, bundle.enc_visual, bundle.decoder):
+            for name, arr in lp.tensors():
+                assert np.shares_memory(arr, getattr(lp, name[0])), name
+    xs = np.random.default_rng(4).standard_normal((3, 5)).astype(np.float32)
+    before = lstm.run_lstm(params.enc_audio, xs)[0].h
+    dict(params.tensors())["enc_audio.wi"][...] += 0.5
+    after = lstm.run_lstm(params.enc_audio, xs)[0].h
+    assert not np.array_equal(before, after)

@@ -67,6 +67,29 @@ def test_sigmoid_extreme_inputs_do_not_overflow():
     assert y[0] == 0.0 and y[1] == 1.0
 
 
+def _masked_sigmoid(x):
+    """The piecewise sigmoid written with a boolean mask, gather and scatter."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32),
+                                        (np.float64, np.uint64)])
+def test_sigmoid_is_bitwise_the_masked_form(dtype, bits):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        88.7, -88.7, 1e4, -1e4], dtype=dtype)
+    spread = np.random.default_rng(6).standard_normal(1000) * 30.0
+    x = np.concatenate([special, spread.astype(dtype)])
+    got = ops.sigmoid(x)
+    want = _masked_sigmoid(x)
+    assert got.dtype == dtype
+    assert np.array_equal(got.view(bits), want.view(bits))
+
+
 def test_sigmoid_grad_matches_finite_differences():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(11)
