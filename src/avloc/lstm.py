@@ -12,12 +12,19 @@ Gate equations (gate order f, i, o, candidate):
 Sequences start from h_0 = c_0 = 0 unless an initial state is given.
 
 The four gates are stored packed: W is (4h, d), U is (4h, h) and b is
-(4h,), with the row blocks of h in gate order f, i, o, c.  A step makes
-one W x_t and one U h_{t-1} matvec for all gates, and backprop adds one
-outer product each into dW and dU.  `LstmParams.tensors()` yields the
-per-gate row blocks (Wf, Uf, bf, Wi, ...) as views of the packed arrays,
-so whatever writes through them (Adam, checkpoint loading, finite
-differences) writes into the packed weights.
+(4h,), with the row blocks of h in gate order f, i, o, c.  The unroll
+projects every input at once, X W^T + b, so a step makes one U h_{t-1}
+matvec for all gates.  Backprop stacks each step's packed gate gradient
+dz as a row of dZ (T, 4h), steps back with one U^T dz, and after the loop
+forms dW = dZ^T X and dU = dZ^T [h_0; ...; h_{T-1}] with one matrix
+product each, and db as the column sums of dZ.  Those sums run in
+another order than per step and per gate, so results agree with the
+per-gate algorithm to rounding, not bit for bit.
+
+`LstmParams.tensors()` yields the per-gate row blocks (Wf, Uf, bf, Wi,
+...) as views of the packed arrays, so whatever writes through them
+(Adam, checkpoint loading, finite differences) writes into the packed
+weights.
 """
 
 import math
@@ -149,9 +156,11 @@ def run_lstm(params: LstmParams, xs: np.ndarray,
         raise ShapeError("run_lstm state", (h,), init.h.shape, init.c.shape)
     trace = LstmTrace(xs, init.h, init.c, np.empty((steps, 4 * h), dtype=dtype),
                       *(np.empty((steps, h), dtype=dtype) for _ in range(3)))
+    # The input projection of every step at once; only U h_{t-1} recurs.
+    zx = xs @ params.w.T + params.b
     h_prev, c_prev = init.h, init.c
     for t in range(steps):
-        z = params.w @ xs[t] + params.u @ h_prev + params.b
+        z = zx[t] + params.u @ h_prev
         sig = ops.sigmoid(z[:3 * h])
         g = ops.tanh(z[3 * h:])
         f, i, o = sig[:h], sig[h:2 * h], sig[2 * h:]
@@ -180,11 +189,8 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
                          trace.gates.shape, (params.hidden_size,))
     if dh_steps is not None and dh_steps.shape != (steps, h):
         raise ShapeError("lstm_sequence_backward dh_steps", (steps, h), dh_steps.shape)
-    grads = params.map(np.zeros_like)
-    # The per-step outer products land in one buffer, allocated per call.
-    d = params.input_size
-    scratch = np.empty((4 * h, max(d, h)), dtype=grads.w.dtype)
-    outer_w, outer_u = scratch[:, :d], scratch[:, :h]
+    # Row t holds step t's packed dz; dW, dU and db come from all rows at once.
+    dz_all = np.empty((steps, 4 * h), dtype=trace.gates.dtype)
     dh_next = np.zeros(h, dtype=trace.h.dtype)
     dc_next = np.zeros(h, dtype=trace.h.dtype)
     if dh_final is not None:
@@ -195,22 +201,15 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
         dh = dh_next if dh_steps is None else dh_next + dh_steps[t]
         act = trace.gates[t]
         f, i, o, g = act[:h], act[h:2 * h], act[2 * h:3 * h], act[3 * h:]
-        h_prev = trace.h[t - 1] if t > 0 else trace.h0
         c_prev = trace.c[t - 1] if t > 0 else trace.c0
-        do = dh * trace.tanh_c[t]
         dc = ops.tanh_grad(trace.tanh_c[t], dh * o) + dc_next
-        dz = np.concatenate((ops.sigmoid_grad(f, dc * c_prev),
-                             ops.sigmoid_grad(i, dc * g),
-                             ops.sigmoid_grad(o, do),
-                             ops.tanh_grad(g, dc * i)))
-        grads.w += np.outer(dz, trace.xs[t], out=outer_w)
-        grads.u += np.outer(dz, h_prev, out=outer_u)
-        grads.b += dz
-        # Per gate and in gate order: one packed U.T @ dz would sum the
-        # four gates' terms in another order.
-        dh_next = np.zeros(h, dtype=trace.h.dtype)
-        for k in range(len(GATES)):
-            rows = slice(k * h, (k + 1) * h)
-            dh_next += params.u[rows].T @ dz[rows]
+        dz = dz_all[t]
+        dz[:3 * h] = ops.sigmoid_grad(act[:3 * h], np.concatenate(
+            (dc * c_prev, dc * g, dh * trace.tanh_c[t])))
+        dz[3 * h:] = ops.tanh_grad(g, dc * i)
+        dh_next = params.u.T @ dz
         dc_next = dc * f
+    h_prevs = np.concatenate((trace.h0[None, :], trace.h[:-1]))
+    grads = LstmParams((dz_all.T @ trace.xs).astype(dz_all.dtype, copy=False),
+                       dz_all.T @ h_prevs, dz_all.sum(axis=0))
     return grads, dh_next, dc_next

@@ -145,7 +145,7 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
     _, dec_trace = lstm_mod.run_lstm(params.decoder, dec_inputs, init=dec_init)
 
     logits = dec_trace.h @ params.out_w.T + params.out_b
-    probs = np.stack([ops.softmax(row) for row in logits])
+    probs = ops.softmax(logits)
     pooled = average_pool(logits)
     pooled_probs = ops.softmax(pooled)
     return PredictionTrace(

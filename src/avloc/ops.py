@@ -74,13 +74,14 @@ def tanh_grad(out: np.ndarray, gout: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over a 1-D vector of logits."""
-    if logits.ndim != 1 or logits.shape[0] == 0:
-        raise ValueError("softmax: input must be a non-empty vector, got shape %s"
+    """Max-subtracted softmax over the last axis, so each row of a (T, K)
+    array gets the same bits as a softmax of that row alone."""
+    if logits.ndim == 0 or logits.shape[-1] == 0:
+        raise ValueError("softmax: the last axis must be non-empty, got shape %s"
                          % (logits.shape,))
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_grad(out: np.ndarray, gout: np.ndarray) -> np.ndarray:

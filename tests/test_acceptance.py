@@ -18,6 +18,8 @@ from avloc import checkpoint, data, fusion, gradcheck, lstm, model, ops, trainer
 import _reference as ref
 from conftest import record
 
+pytestmark = pytest.mark.acceptance
+
 # pinned hyperparameters for the synthetic experiments (criteria 3-5)
 OVERFIT_DATA = dict(num_events=4, audio_dim=16, visual_dim=24, num_segments=10,
                     train_videos=4, val_videos=0, test_videos=0,

@@ -134,9 +134,26 @@ def test_softmax_shift_invariance_bitwise_on_exact_grid():
 
 def test_softmax_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        ops.softmax(np.zeros((2, 2)))
+        ops.softmax(np.zeros(()))
     with pytest.raises(ValueError):
         ops.softmax(np.zeros(0))
+    with pytest.raises(ValueError):
+        ops.softmax(np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 5, 29, 200])
+def test_softmax_rows_are_bitwise_the_per_row_softmax(dtype, k):
+    rng = np.random.default_rng(k)
+    for _ in range(50):
+        logits = (rng.standard_normal((10, k)) * rng.uniform(0.1, 50)).astype(dtype)
+        rows = ops.softmax(logits)
+        assert rows.dtype == dtype
+        for row, x in zip(rows, logits):
+            e = np.exp(x - x.max())
+            one = ops.softmax(x)
+            assert one.tobytes() == (e / e.sum()).tobytes()
+            assert row.tobytes() == one.tobytes()
 
 
 def test_softmax_grad_matches_finite_differences():
