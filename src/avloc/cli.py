@@ -8,6 +8,7 @@ mismatches, invalid configs) print a message to stderr and exit 1.
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from . import checkpoint, data, gradcheck, optim, trainer
 from .binio import FormatError
@@ -18,18 +19,23 @@ from .trainer import INIT_MODES, SETTINGS, ConfigError, TrainConfig
 
 
 def read_config(path) -> dict:
-    """Parse `key=value` lines; blank lines and `#` comments are skipped."""
+    """Parse `key=value` lines of UTF-8 text; blank lines and `#` comments
+    are skipped."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s: not UTF-8 text at byte %d: %s"
+                          % (path, exc.start, exc.reason)) from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key=value, got %r"
-                                  % (path, lineno, line))
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key=value, got %r"
+                              % (path, lineno, line))
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -104,6 +104,8 @@ def read_features(path) -> FeatureSequence:
     d_a = reader.u32()
     d_v = reader.u32()
     c = reader.u32()
+    if c > binio.U16_MAX:  # labels are stored as u16, as write_features requires
+        raise binio.DimensionOverflowError("C", c, binio.U16_MAX)
     audio = reader.array("<f4", t * d_a).reshape(t, d_a).astype(np.float32)
     visual = reader.array("<f4", t * d_v).reshape(t, d_v).astype(np.float32)
     labels = reader.array("<u2", t).astype(np.int64)
@@ -176,14 +178,19 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     ]
     for e in manifest.entries:
         lines.append("%s\t%s\t%s" % (e.video_id, e.split, e.path))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     header = {}
     entries = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError("%s: not UTF-8 text at byte %d: %s"
+                            % (path, exc.start, exc.reason)) from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -14,17 +14,32 @@ Sequences start from h_0 = c_0 = 0 unless an initial state is given.
 The four gates are stored packed: W is (4h, d), U is (4h, h) and b is
 (4h,), with the row blocks of h in gate order f, i, o, c.  The unroll
 projects every input at once, X W^T + b, so a step makes one U h_{t-1}
-matvec for all gates.  Backprop stacks each step's packed gate gradient
-dz as a row of dZ (T, 4h), steps back with one U^T dz, and after the loop
-forms dW = dZ^T X and dU = dZ^T [h_0; ...; h_{T-1}] with one matrix
-product each, and db as the column sums of dZ.  Those sums run in
-another order than per step and per gate, so results agree with the
-per-gate algorithm to rounding, not bit for bit.
+matvec for all gates and writes the gates, c_t, tanh(c_t) and h_t
+straight into the trace rows.
+
+Backprop computes every local derivative before its loop, for all T at
+once: with c_{t-1}, g_t and tanh(c_t) from the trace,
+
+    coef_t = (f(1-f) c_{t-1}, i(1-i) g, o(1-o) tanh(c_t), i(1-g^2))   (4h,)
+    k_t    = o_t (1 - tanh(c_t)^2)                                      (h,)
+
+so the loop runs only the dh/dc recurrence:
+
+    dh   = dh_next + (outside gradient on h_t)
+    dc   = dh k_t + dc_next
+    dz_t = coef_t * (dc, dc, dh, dc)
+    dh_next = U^T dz_t,   dc_next = dc f_t
+
+Each dz_t is a row of dZ (T, 4h); after the loop dW = dZ^T X and
+dU = dZ^T [h_0; ...; h_{T-1}] are one matrix product each and db is the
+column sums of dZ.  Those sums run in another order than per step and per
+gate, so results agree with the per-gate algorithm to rounding, not bit
+for bit.
 
 `LstmParams.tensors()` yields the per-gate row blocks (Wf, Uf, bf, Wi,
 ...) as views of the packed arrays, so whatever writes through them
-(Adam, checkpoint loading, finite differences) writes into the packed
-weights.
+(checkpoint loading, finite differences) writes into the packed weights.
+The optimizer steps over the packed arrays themselves (`arrays()`).
 """
 
 import math
@@ -142,7 +157,8 @@ def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator
 def run_lstm(params: LstmParams, xs: np.ndarray,
              init: LstmState | None = None):
     """Unroll over xs of shape (T, d) from init, or from the all-zero state.
-    Returns (final state, trace)."""
+    Returns (final state, trace); the final state's arrays are the trace's
+    last rows of h and c."""
     h = params.hidden_size
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
         raise ShapeError("run_lstm inputs", ("T", params.input_size), xs.shape)
@@ -158,17 +174,19 @@ def run_lstm(params: LstmParams, xs: np.ndarray,
                       *(np.empty((steps, h), dtype=dtype) for _ in range(3)))
     # The input projection of every step at once; only U h_{t-1} recurs.
     zx = xs @ params.w.T + params.b
+    u, gates, c, tanh_c, hs = params.u, trace.gates, trace.c, trace.tanh_c, trace.h
     h_prev, c_prev = init.h, init.c
     for t in range(steps):
-        z = zx[t] + params.u @ h_prev
-        sig = ops.sigmoid(z[:3 * h])
-        g = ops.tanh(z[3 * h:])
-        f, i, o = sig[:h], sig[h:2 * h], sig[2 * h:]
-        c_prev = f * c_prev + i * g
-        tanh_c = ops.tanh(c_prev)
-        h_prev = o * tanh_c
-        trace.gates[t, :3 * h], trace.gates[t, 3 * h:] = sig, g
-        trace.c[t], trace.tanh_c[t], trace.h[t] = c_prev, tanh_c, h_prev
+        z = zx[t]
+        z += u @ h_prev
+        act = gates[t]
+        ops.sigmoid(z[:3 * h], out=act[:3 * h])
+        np.tanh(z[3 * h:], out=act[3 * h:])
+        np.multiply(act[:h], c_prev, out=c[t])
+        c[t] += act[h:2 * h] * act[3 * h:]
+        np.tanh(c[t], out=tanh_c[t])
+        np.multiply(act[2 * h:3 * h], tanh_c[t], out=hs[t])
+        h_prev, c_prev = hs[t], c[t]
     return LstmState(h_prev, c_prev), trace
 
 
@@ -189,8 +207,19 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
                          trace.gates.shape, (params.hidden_size,))
     if dh_steps is not None and dh_steps.shape != (steps, h):
         raise ShapeError("lstm_sequence_backward dh_steps", (steps, h), dh_steps.shape)
+    # Every local derivative for all T at once (module docstring), so that
+    # the loop runs only the dh/dc recurrence.
+    gates = trace.gates
+    c_prevs = np.concatenate((trace.c0[None, :], trace.c[:-1]))
+    local = np.concatenate((c_prevs, gates[:, 3 * h:], trace.tanh_c), axis=1)
+    sig_coef = ops.sigmoid_grad(gates[:, :3 * h], local)
+    tanh_coef = ops.tanh_grad(local[:, h:], gates[:, h:3 * h])
+    coef = np.concatenate((sig_coef, tanh_coef[:, :h]), axis=1)
+    k = tanh_coef[:, h:]
+    f = gates[:, :h]
+    u_t = params.u.T
     # Row t holds step t's packed dz; dW, dU and db come from all rows at once.
-    dz_all = np.empty((steps, 4 * h), dtype=trace.gates.dtype)
+    dz_all = np.empty((steps, 4 * h), dtype=gates.dtype)
     dh_next = np.zeros(h, dtype=trace.h.dtype)
     dc_next = np.zeros(h, dtype=trace.h.dtype)
     if dh_final is not None:
@@ -199,16 +228,10 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
         dc_next = dc_next + dc_final
     for t in range(steps - 1, -1, -1):
         dh = dh_next if dh_steps is None else dh_next + dh_steps[t]
-        act = trace.gates[t]
-        f, i, o, g = act[:h], act[h:2 * h], act[2 * h:3 * h], act[3 * h:]
-        c_prev = trace.c[t - 1] if t > 0 else trace.c0
-        dc = ops.tanh_grad(trace.tanh_c[t], dh * o) + dc_next
-        dz = dz_all[t]
-        dz[:3 * h] = ops.sigmoid_grad(act[:3 * h], np.concatenate(
-            (dc * c_prev, dc * g, dh * trace.tanh_c[t])))
-        dz[3 * h:] = ops.tanh_grad(g, dc * i)
-        dh_next = params.u.T @ dz
-        dc_next = dc * f
+        dc = dh * k[t] + dc_next
+        np.multiply(coef[t], np.concatenate((dc, dc, dh, dc)), out=dz_all[t])
+        dh_next = u_t @ dz_all[t]
+        dc_next = dc * f[t]
     h_prevs = np.concatenate((trace.h0[None, :], trace.h[:-1]))
     grads = LstmParams((dz_all.T @ trace.xs).astype(dz_all.dtype, copy=False),
                        dz_all.T @ h_prevs, dz_all.sum(axis=0))

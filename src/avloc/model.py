@@ -174,20 +174,21 @@ def model_backward(trace: PredictionTrace, dlogits: np.ndarray,
     dec_grads, dh0, dc0 = lstm_mod.lstm_sequence_backward(
         params.decoder, trace.dec_trace, dh_steps=dh_steps)
 
-    zero = np.zeros_like(dh0)
-    fusion_grads = params.fusion.map(np.zeros_like)  # stays zero unless FUSION
     if trace.init_mode is DecoderInit.FUSION:
         fusion_grads, d_a_state, d_v_state = fusion_mod.fuse_backward(
             params.fusion, trace.fusion_trace, dh0, dc0)
-    elif trace.init_mode is DecoderInit.AUDIO_ONLY:
-        d_a_state = LstmState(dh0, dc0)
-        d_v_state = LstmState(zero, zero)
-    elif trace.init_mode is DecoderInit.VISUAL_ONLY:
-        d_a_state = LstmState(zero, zero)
-        d_v_state = LstmState(dh0, dc0)
-    else:  # SUM
-        d_a_state = LstmState(dh0, dc0)
-        d_v_state = LstmState(dh0.copy(), dc0.copy())
+    else:
+        fusion_grads = params.fusion.map(np.zeros_like)
+        zero = np.zeros_like(dh0)
+        if trace.init_mode is DecoderInit.AUDIO_ONLY:
+            d_a_state = LstmState(dh0, dc0)
+            d_v_state = LstmState(zero, zero)
+        elif trace.init_mode is DecoderInit.VISUAL_ONLY:
+            d_a_state = LstmState(zero, zero)
+            d_v_state = LstmState(dh0, dc0)
+        else:  # SUM
+            d_a_state = LstmState(dh0, dc0)
+            d_v_state = LstmState(dh0.copy(), dc0.copy())
 
     dh_a = d_a_state.h if extra_dh_audio is None else d_a_state.h + extra_dh_audio
     dh_v = d_v_state.h if extra_dh_visual is None else d_v_state.h + extra_dh_visual

@@ -2,8 +2,9 @@
 
 A "vector" is a 1-D numpy array, a "matrix" a 2-D row-major numpy array.
 Two precisions are supported: standard (float32) for training and
-checking (float64) for finite-difference gradient verification.  Every
-function here is pure; nothing mutates its inputs.
+checking (float64) for finite-difference gradient verification.  No
+function here mutates its inputs; `sigmoid` can write its result into a
+given output array.
 """
 
 import enum
@@ -47,12 +48,17 @@ def matvec_grad(m: np.ndarray, x: np.ndarray, gout: np.ndarray):
     return np.outer(gout, x), m.T @ gout
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated piecewise so exp never overflows:
-    1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere.  min(x, -x)
-    is -|x| that keeps a NaN's sign bit."""
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function as 0.5 tanh(x / 2) + 0.5, written into `out` when
+    given.  tanh saturates instead of overflowing, so no input needs a
+    branch: +-inf give exactly 1 and 0, NaN stays NaN, and no
+    floating-point warning is raised.  The result is within one machine
+    epsilon of the piecewise 1 / (1 + e^-x), e^x / (1 + e^x) form."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def sigmoid_grad(out: np.ndarray, gout: np.ndarray) -> np.ndarray:

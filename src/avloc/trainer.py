@@ -243,7 +243,7 @@ def _video_grads(params: ModelParams, seq: FeatureSequence, target,
 
 
 def _accumulate(acc: dict, grads, scale: float):
-    for name, arr in grads.tensors():
+    for name, arr in grads.arrays():
         acc[name] += scale * arr
 
 
@@ -278,9 +278,10 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
         video_labels = ([seq.video_label().astype(dtype) for seq in train_seqs]
                         if use_aux else [None] * len(train_seqs))
 
-    opt_params = dict(params.tensors())
+    # One update per stored (gate-packed) array instead of one per gate view.
+    opt_params = dict(params.arrays())
     if aux is not None:
-        opt_params.update(aux.tensors())
+        opt_params.update(aux.arrays())
     opt_state = optim.AdamState.for_params(opt_params)
     adam_cfg = cfg.adam()
     zeros = {name: np.zeros_like(arr) for name, arr in opt_params.items()}

@@ -2,7 +2,8 @@
 
 A bundle is a dataclass whose fields are arrays or nested bundles.  The
 order in which the fields are declared is the canonical tensor order that
-the optimizer, the gradient checker and the checkpoint format share.
+the gradient checker and the checkpoint format share (`tensors`), and the
+order in which the optimizer walks the stored arrays (`arrays`).
 """
 
 import dataclasses
@@ -14,10 +15,20 @@ class ParamTree:
     def tensors(self, prefix: str = ""):
         """(name, array) pairs in canonical order; a nested bundle's names
         carry its field name and a dot, e.g. "fusion.g_h.w1"."""
+        return self._walk("tensors", prefix)
+
+    def arrays(self, prefix: str = ""):
+        """(name, array) pairs of the arrays the bundle stores, named and
+        ordered as `tensors` names and orders its fields.  The same as
+        `tensors` unless a bundle yields views of its arrays there, as a
+        gate-packed LSTM does."""
+        return self._walk("arrays", prefix)
+
+    def _walk(self, method: str, prefix: str):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if isinstance(value, ParamTree):
-                yield from value.tensors(prefix + field.name + ".")
+                yield from getattr(value, method)(prefix + field.name + ".")
             else:
                 yield prefix + field.name, value
 

@@ -21,6 +21,14 @@ def test_read_config_rejects_malformed_lines(tmp_path):
         cli.read_config(path)
 
 
+def test_read_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"lr=0.5\nhidden=\xff9\n")
+    with pytest.raises(ConfigError) as info:
+        cli.read_config(path)
+    assert str(path) in str(info.value) and "UTF-8" in str(info.value)
+
+
 def test_synth_config_from_file_values():
     cfg = cli.build_synth_config({"num_events": "3", "noise_sigma": "0.25",
                                   "train_videos": "7"})

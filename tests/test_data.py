@@ -90,6 +90,18 @@ def test_read_rejects_out_of_range_label(tmp_path):
         data.read_features(path)
 
 
+def test_read_rejects_a_class_count_the_writer_cannot_store(tmp_path):
+    path = tmp_path / "x.avsd"
+    data.write_features(make_seq(t=3), path)
+    blob = bytearray(path.read_bytes())
+    blob[18:22] = (70000).to_bytes(4, "little")  # C, after magic, version, T, d_a, d_v
+    path.write_bytes(bytes(blob))
+    with pytest.raises(binio.DimensionOverflowError) as info:
+        data.read_features(path)
+    assert (info.value.field, info.value.value, info.value.limit) == (
+        "C", 70000, binio.U16_MAX)
+
+
 def make_manifest(root=None):
     return data.DatasetManifest(
         num_events=2, categories=["bark", "siren"], audio_dim=3, visual_dim=4,
@@ -155,6 +167,24 @@ def test_manifest_rejects_non_integer_header_values(tmp_path, key):
         data.read_manifest(path)
     assert str(path) in str(info.value) and key in str(info.value)
     assert "'abc'" in str(info.value)
+
+
+def test_manifest_that_is_not_utf8_is_a_manifest_error(tmp_path):
+    path = tmp_path / "m.txt"
+    data.write_manifest(make_manifest(), path)
+    path.write_bytes(path.read_bytes().replace(b"siren", b"sir\xe9n"))
+    with pytest.raises(data.ManifestError) as info:
+        data.read_manifest(path)
+    assert str(path) in str(info.value) and "UTF-8" in str(info.value)
+
+
+def test_manifest_round_trips_non_ascii_names_as_utf8(tmp_path):
+    path = tmp_path / "m.txt"
+    manifest = make_manifest()
+    manifest.categories = ["aboiement", "sir\u00e8ne"]
+    data.write_manifest(manifest, path)
+    assert "sir\u00e8ne".encode("utf-8") in path.read_bytes()
+    assert data.read_manifest(path).categories == manifest.categories
 
 
 def test_load_split_checks_dimensions(tmp_path):

@@ -77,17 +77,30 @@ def _masked_sigmoid(x):
     return out
 
 
-@pytest.mark.parametrize("dtype,bits", [(np.float32, np.uint32),
-                                        (np.float64, np.uint64)])
-def test_sigmoid_is_bitwise_the_masked_form(dtype, bits):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_within_one_eps_of_the_masked_form(dtype):
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
                         88.7, -88.7, 1e4, -1e4], dtype=dtype)
     spread = np.random.default_rng(6).standard_normal(1000) * 30.0
-    x = np.concatenate([special, spread.astype(dtype)])
-    got = ops.sigmoid(x)
+    grid = np.linspace(-50.0, 50.0, 200_001)
+    x = np.concatenate([special, spread.astype(dtype), grid.astype(dtype)])
+    with np.errstate(all="raise"):
+        got = ops.sigmoid(x)
     want = _masked_sigmoid(x)
     assert got.dtype == dtype
-    assert np.array_equal(got.view(bits), want.view(bits))
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert np.abs(got[finite] - want[finite]).max() <= np.finfo(dtype).eps
+    # +inf, -inf, 1e4, -1e4 saturate exactly
+    assert got[[2, 3, 8, 9]].tolist() == [1.0, 0.0, 1.0, 0.0]
+
+
+def test_sigmoid_writes_into_out():
+    x = np.linspace(-3.0, 3.0, 7)
+    out = np.empty(7)
+    assert ops.sigmoid(x, out=out) is out
+    assert np.array_equal(out, ops.sigmoid(x))
+    assert np.array_equal(x, np.linspace(-3.0, 3.0, 7))
 
 
 def test_sigmoid_grad_matches_finite_differences():

@@ -1,6 +1,10 @@
-"""Property tests for the two binary readers, `data.read_features` and
-`checkpoint.load_model`: truncated, bit-flipped and re-dimensioned files
-fail with a `FormatError` subclass and never with another exception."""
+"""Property tests for the file readers.  The two binary readers,
+`data.read_features` and `checkpoint.load_model`: truncated, bit-flipped
+and re-dimensioned files fail with a `FormatError` subclass and never with
+another exception.  The two text readers, `data.read_manifest` and
+`cli.read_config` (with the options it feeds `cli.build_synth_config`):
+truncated, byte-flipped and junk-lined files fail with `ManifestError` or
+`ConfigError` and never with another exception."""
 
 import struct
 import tracemalloc
@@ -10,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avloc import binio, checkpoint, data, model
+from avloc import binio, checkpoint, cli, data, model
+from avloc.trainer import ConfigError
 
 # Derandomized and without an example database, so every run tries the
 # same cases.
@@ -93,3 +98,91 @@ def test_zero_or_huge_header_dimensions_raise_only_format_errors(case, dims):
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@FUZZ
+@given(c=st.integers(binio.U16_MAX + 1, binio.U32_MAX))
+def test_a_class_count_above_u16_is_a_dimension_overflow(tmp_path_factory, c):
+    """Labels are stored as u16, so a feature file cannot hold C > 65535."""
+    path = tmp_path_factory.mktemp("classes") / "case"
+    _write_valid(data.read_features, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, DIMS_AT + 12, c)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(binio.DimensionOverflowError):
+        data.read_features(path)
+
+
+# ---------------------------------------------------------------------------
+# text readers
+
+
+def _read_synth_config(path):
+    return cli.build_synth_config(cli.read_config(path))
+
+
+@pytest.fixture(scope="module", params=["read_manifest", "read_config"])
+def text_case(request, tmp_path_factory):
+    """(a valid file as bytes, a function that reads given bytes, the one
+    error type the reader may raise)."""
+    path = tmp_path_factory.mktemp("text") / "case"
+    if request.param == "read_manifest":
+        data.write_manifest(data.DatasetManifest(
+            num_events=2, categories=["bark", "sir\u00e8ne"], audio_dim=3,
+            visual_dim=4, num_segments=5,
+            entries=[data.ManifestEntry("a", "train", "a.avsd"),
+                     data.ManifestEntry("b", "val", "b.avsd")]), path)
+        reader, error = data.read_manifest, data.ManifestError
+    else:
+        path.write_text("# \u00e9t\u00e9\nnum_events=3\n\nnoise_sigma=0.25\n"
+                        "train_videos=7\n", encoding="utf-8")
+        reader, error = _read_synth_config, ConfigError
+    valid = path.read_bytes()
+
+    def read(blob: bytes):
+        path.write_bytes(blob)
+        return reader(path)
+
+    read(valid)
+    return valid, read, error
+
+
+def test_every_text_truncation_raises_only_its_error(text_case):
+    valid, read, error = text_case
+    for length in range(len(valid)):
+        try:
+            read(valid[:length])
+        except error:
+            pass
+
+
+@FUZZ
+@given(draw=st.data())
+def test_byte_flips_raise_only_the_readers_error(text_case, draw):
+    valid, read, error = text_case
+    blob = bytearray(valid)
+    flips = draw.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(0, 255)),
+                               min_size=1, max_size=3))
+    for at, byte in flips:
+        blob[at] = byte
+    try:
+        read(bytes(blob))
+    except error:
+        pass
+
+
+@FUZZ
+@given(draw=st.data())
+def test_junk_lines_raise_only_the_readers_error(text_case, draw):
+    valid, read, error = text_case
+    lines = valid.split(b"\n")
+    junk = draw.draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                        st.binary(max_size=24)),
+                              min_size=1, max_size=3))
+    for at, line in junk:
+        lines.insert(at, line)
+    try:
+        read(b"\n".join(lines))
+    except error:
+        pass

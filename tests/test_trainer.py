@@ -228,3 +228,49 @@ def test_label_guided_gradients_match_finite_differences():
             arr.flat[j] = orig
             num.flat[j] = (up - down) / (2 * eps)
         assert np.allclose(analytic[name], num, atol=1e-7), name
+
+
+def test_adam_over_packed_arrays_is_bitwise_adam_over_per_gate_views():
+    """The trainer steps Adam over the stored gate-packed arrays; without
+    clipping that is the same arithmetic, element for element, as stepping
+    it over the per-gate views that `tensors()` yields."""
+    def build():
+        rng = np.random.default_rng(4)
+        params = model.init_model_params(5, 7, 4, 3, rng, np.float32)
+        return params, trainer.init_aux_heads(4, 3, rng, np.float32)
+
+    packed, packed_aux = build()
+    views, views_aux = build()
+    opt_packed = dict(packed.arrays(), **dict(packed_aux.arrays()))
+    opt_views = dict(views.tensors(), **dict(views_aux.tensors()))
+    assert opt_packed["decoder.w"] is packed.decoder.w
+    assert len(opt_packed) == 27 and len(opt_views) == 54
+    state_packed = trainer.optim.AdamState.for_params(opt_packed)
+    state_views = trainer.optim.AdamState.for_params(opt_views)
+    cfg = trainer.optim.AdamConfig(lr=1e-2, clip_norm=None)
+    before = [arr.copy() for _, arr in packed.tensors()]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        seq = data.FeatureSequence(
+            "v", rng.standard_normal((6, 5)).astype(np.float32),
+            rng.standard_normal((6, 7)).astype(np.float32),
+            rng.integers(0, 4, size=6), 3)
+        _, grads, aux_grads = trainer._video_grads(
+            packed, seq, seq.video_label().astype(np.float32), "weak",
+            DecoderInit.SUM, packed_aux, 1.0, seq.video_label().astype(np.float32))
+        trainer.optim.adam_step(opt_packed, {name: arr.copy() for name, arr in
+                                             (*grads.arrays(), *aux_grads.arrays())},
+                                state_packed, cfg)
+        trainer.optim.adam_step(opt_views, {name: arr.copy() for name, arr in
+                                            (*grads.tensors(), *aux_grads.tensors())},
+                                state_views, cfg)
+        for (name, got), (_, want) in zip(
+                (*packed.tensors(), *packed_aux.tensors()),
+                (*views.tensors(), *views_aux.tensors())):
+            assert got.tobytes() == want.tobytes(), name
+    # The packed updates landed in the per-gate views that tensors() (and
+    # the checkpoint) reads; the fusion block gets no gradient under SUM.
+    moved = {name for (name, arr), old in zip(packed.tensors(), before)
+             if not np.array_equal(arr, old)}
+    assert moved == {name for name, _ in packed.tensors()
+                     if not name.startswith("fusion.")}
