@@ -8,11 +8,10 @@ mismatches, invalid configs) print a message to stderr and exit 1.
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from . import checkpoint, data, gradcheck, optim, trainer
 from .binio import FormatError
-from .data import ManifestError, SynthConfig
+from .data import ManifestError, SynthConfig, read_text
 from .model import cast_model
 from .ops import Precision, ShapeError
 from .trainer import INIT_MODES, SETTINGS, ConfigError, TrainConfig
@@ -21,11 +20,7 @@ from .trainer import INIT_MODES, SETTINGS, ConfigError, TrainConfig
 def read_config(path) -> dict:
     """Parse `key=value` lines of UTF-8 text; blank lines and `#` comments
     are skipped."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError("%s: not UTF-8 text at byte %d: %s"
-                          % (path, exc.start, exc.reason)) from None
+    text = read_text(path, ConfigError)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()

@@ -181,15 +181,24 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_text(path, error: type) -> str:
+    """A text file's contents: UTF-8, after a byte-order mark if one leads.
+    A byte that is not UTF-8 raises `error` naming the file and the byte's
+    offset from the start of the file (where the "utf-8-sig" codec would
+    count from the end of the mark)."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error("%s: not UTF-8 text at byte %d: %s"
+                    % (path, exc.start, exc.reason)) from None
+    return text.removeprefix("\ufeff")
+
+
 def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     header = {}
     entries = []
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestError("%s: not UTF-8 text at byte %d: %s"
-                            % (path, exc.start, exc.reason)) from None
+    text = read_text(path, ManifestError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:

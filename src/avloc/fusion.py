@@ -10,6 +10,10 @@ For each track (hidden and cell) with its own shared MLP g:
 Both modalities pass through the same g, so the fused value is symmetric
 under swapping the audio and visual inputs.  The fused hidden/cell pair
 becomes the decoder's initial state.
+
+Backward passes return their parameter gradients in factored form
+(`tree.Rows`): each application of an MLP contributes one row, so the
+shared MLP of a track gets two rows per video, one per modality.
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ import numpy as np
 from . import ops
 from .lstm import LstmState, _glorot
 from .ops import ShapeError
-from .tree import ParamTree
+from .tree import ParamTree, Rows
 
 
 @dataclass
@@ -64,11 +68,17 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
 
 
 def mlp_backward(params: MlpParams, trace: MlpTrace, gout: np.ndarray):
-    """Returns (param grads, grad wrt x)."""
-    dw2, dhidden = ops.matvec_grad(params.w2, trace.hidden, gout)
-    dz1 = ops.tanh_grad(trace.hidden, dhidden)
-    dw1, dx = ops.matvec_grad(params.w1, trace.x, dz1)
-    return MlpParams(w1=dw1, b1=dz1, w2=dw2, b2=gout.copy()), dx
+    """Backward through one application of the MLP (x, hidden and gout
+    vectors) or through n of them (each stacked as (n, .) rows).  Returns
+    (param grads as an MlpParams of `Rows`, grad wrt x shaped like x)."""
+    if gout.shape[-1] != params.output_size:
+        raise ShapeError("mlp_backward", (params.output_size,), gout.shape)
+    x, hidden, gout = (np.atleast_2d(a) for a in (trace.x, trace.hidden, gout))
+    dz1 = ops.tanh_grad(hidden, gout @ params.w2)
+    dx = dz1 @ params.w1
+    grads = MlpParams(w1=Rows(dz1, x), b1=Rows(dz1), w2=Rows(gout, hidden),
+                      b2=Rows(gout))
+    return grads, dx.reshape(trace.x.shape)
 
 
 @dataclass
@@ -113,10 +123,12 @@ def _fuse_track(mlp: MlpParams, a: np.ndarray, v: np.ndarray):
 def _fuse_track_backward(mlp: MlpParams, trace: _TrackTrace, gout: np.ndarray):
     dza = ops.tanh_grad(trace.out_a, gout)
     dzv = ops.tanh_grad(trace.out_v, gout)
-    dm = dza + dzv
-    mlp_grads_a, da_mlp = mlp_backward(mlp, trace.mlp_a, 0.5 * dm)
-    mlp_grads_v, dv_mlp = mlp_backward(mlp, trace.mlp_v, 0.5 * dm)
-    return mlp_grads_a.map(np.add, mlp_grads_v), dza + da_mlp, dzv + dv_mlp
+    dm = 0.5 * (dza + dzv)
+    # Both applications of the shared MLP as two rows: audio, then visual.
+    both = MlpTrace(np.stack((trace.a, trace.v)),
+                    np.stack((trace.mlp_a.hidden, trace.mlp_v.hidden)))
+    mlp_grads, dx = mlp_backward(mlp, both, np.stack((dm, dm)))
+    return mlp_grads, dza + dx[0], dzv + dx[1]
 
 
 def fuse(params: FusionParams, audio: LstmState, visual: LstmState):
@@ -132,8 +144,9 @@ def fuse_backward(params: FusionParams, trace: FusionTrace,
                   dh: np.ndarray, dc: np.ndarray):
     """Backward through fuse.
 
-    Returns (param grads, grads on the audio state, grads on the visual
-    state), the state grads as LstmState bundles.
+    Returns (param grads as a FusionParams of `Rows`, grads on the audio
+    state, grads on the visual state), the state grads as LstmState
+    bundles.
     """
     gh, dah, dvh = _fuse_track_backward(params.g_h, trace.hidden, dh)
     gc, dac, dvc = _fuse_track_backward(params.g_c, trace.cell, dc)

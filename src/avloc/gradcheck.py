@@ -4,8 +4,10 @@ Central differences with a configurable epsilon, run in 64-bit precision
 on a deliberately tiny model so every parameter entry can be perturbed.
 Every training path is checked: each decoder-init row of
 `trainer.INIT_MODES` under both losses, the label-guided auxiliary heads
-included, with the analytic gradients from the trainer's own per-video
-step.
+included, with the analytic gradients from the trainer's own minibatch
+step over TINY_VIDEOS videos with different labels: the gradient reduced
+over the batch's stacked rows against central differences of the mean
+loss.
 The error measure is |analytic - numeric| / max(1, |numeric|); the guard
 in the denominator keeps zero-gradient entries well defined.
 """
@@ -20,6 +22,7 @@ from .data import FeatureSequence
 
 TINY_DIMS = dict(audio_dim=5, visual_dim=7, hidden_size=4, num_events=3)
 TINY_STEPS = 4
+TINY_VIDEOS = 2
 
 
 def finite_difference_grads(loss_fn, tensors: dict, eps: float = 1e-5) -> dict:
@@ -78,40 +81,52 @@ class GradcheckResult:
 
 def run_gradcheck(seed: int = 0, eps: float = 1e-5,
                   tolerance: float = 1e-4) -> GradcheckResult:
-    """Check every init mode under both losses on a tiny model, every
-    parameter entry."""
+    """Check every init mode under both losses on a tiny model and a
+    minibatch of tiny videos, every parameter entry."""
     rng = np.random.default_rng(seed)
     params = model_mod.init_model_params(rng=rng, dtype=np.float64, **TINY_DIMS)
-    steps = TINY_STEPS
-    audio = rng.uniform(-1.0, 1.0, size=(steps, params.audio_dim))
-    visual = rng.uniform(-1.0, 1.0, size=(steps, params.visual_dim))
-    labels = rng.integers(0, params.num_events + 1, size=steps)
-    video_label = model_mod.video_label_from_segments(labels, params.num_events)
     heads = trainer.init_aux_heads(params.hidden_size, params.num_events, rng,
                                    np.float64)
-    seq = FeatureSequence("gradcheck", audio, visual, labels, params.num_events)
+    c = params.num_events
+    seqs = []
+    for k in range(TINY_VIDEOS):
+        labels = rng.integers(0, c + 1, size=TINY_STEPS)
+        # Class k holds most segments of video k, so the videos' labels
+        # differ at both levels.
+        labels[:TINY_STEPS // 2 + 1] = k
+        seqs.append(FeatureSequence(
+            "gradcheck%d" % k,
+            rng.uniform(-1.0, 1.0, size=(TINY_STEPS, params.audio_dim)),
+            rng.uniform(-1.0, 1.0, size=(TINY_STEPS, params.visual_dim)),
+            labels, c))
+    video_labels = [model_mod.video_label_from_segments(seq.labels, c)
+                    for seq in seqs]
     weight = trainer.TrainConfig().aux_weight
 
     def run(init_mode, setting):
         dec_init, use_aux = trainer.INIT_MODES[init_mode]
         aux = heads if use_aux else None
         if setting == "supervised":
-            objective, target = model_mod.supervised_objective, labels
+            objective, targets = (model_mod.supervised_objective,
+                                  [seq.labels for seq in seqs])
         else:
-            objective, target = model_mod.weak_objective, video_label
+            objective, targets = model_mod.weak_objective, video_labels
         tensors = dict(params.tensors())
         if aux is not None:
             tensors.update(aux.tensors())
 
         def value():
-            trace = model_mod.forward(params, audio, visual, dec_init)
-            loss = objective(trace, target)[0]
-            if aux is not None:
-                loss += trainer.aux_objective(aux, trace, video_label, weight)[0]
-            return loss
+            total = 0.0
+            for seq, target, video_label in zip(seqs, targets, video_labels):
+                trace = model_mod.forward(params, seq.audio, seq.visual, dec_init)
+                total += objective(trace, target)[0]
+                if aux is not None:
+                    total += trainer.aux_objective(aux, trace, video_label,
+                                                   weight)[0]
+            return total / len(seqs)
 
-        _, grads, aux_grads = trainer._video_grads(
-            params, seq, target, setting, dec_init, aux, weight, video_label)
+        _, grads, aux_grads = trainer._minibatch_grads(
+            params, seqs, targets, setting, dec_init, aux, weight, video_labels)
         analytic = dict(grads.tensors())
         if aux_grads is not None:
             analytic.update(aux_grads.tensors())

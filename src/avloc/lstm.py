@@ -12,10 +12,12 @@ Gate equations (gate order f, i, o, candidate):
 Sequences start from h_0 = c_0 = 0 unless an initial state is given.
 
 The four gates are stored packed: W is (4h, d), U is (4h, h) and b is
-(4h,), with the row blocks of h in gate order f, i, o, c.  The unroll
-projects every input at once, X W^T + b, so a step makes one U h_{t-1}
-matvec for all gates and writes the gates, c_t, tanh(c_t) and h_t
-straight into the trace rows.
+(4h,), with the row blocks of h in gate order f, i, o, c.  The input
+projection X W^T + b does not recur, so `project` computes it for rows
+stacked over any number of sequences (a trainer's minibatch, an
+evaluation chunk) in one matrix product, and `run_lstm` takes a
+sequence's rows of it.  A step makes one U h_{t-1} matvec for all gates
+and writes the gates, c_t, tanh(c_t) and h_t straight into the trace rows.
 
 Backprop computes every local derivative before its loop, for all T at
 once: with c_{t-1}, g_t and tanh(c_t) from the trace,
@@ -30,11 +32,13 @@ so the loop runs only the dh/dc recurrence:
     dz_t = coef_t * (dc, dc, dh, dc)
     dh_next = U^T dz_t,   dc_next = dc f_t
 
-Each dz_t is a row of dZ (T, 4h); after the loop dW = dZ^T X and
-dU = dZ^T [h_0; ...; h_{T-1}] are one matrix product each and db is the
-column sums of dZ.  Those sums run in another order than per step and per
-gate, so results agree with the per-gate algorithm to rounding, not bit
-for bit.
+Each dz_t is a row of dZ (T, 4h).  Backprop forms no weight gradient: it
+returns dZ with the rows it multiplies, X for dW and [h_0; ...; h_{T-1}]
+for dU (`tree.Rows`), so that `tree.reduce_rows` forms dW = dZ^T X,
+dU = dZ^T H_prev and db, the column sums of dZ, with one product each
+over the rows of a whole minibatch.  Those sums run in another order than
+per step and per gate, so results agree with the per-gate algorithm to
+rounding, not bit for bit.
 
 `LstmParams.tensors()` yields the per-gate row blocks (Wf, Uf, bf, Wi,
 ...) as views of the packed arrays, so whatever writes through them
@@ -49,7 +53,7 @@ import numpy as np
 
 from . import ops
 from .ops import ShapeError
-from .tree import ParamTree
+from .tree import ParamTree, Rows
 
 GATES = ("f", "i", "o", "c")
 
@@ -154,17 +158,31 @@ def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator
     return LstmParams(w, u, b)
 
 
+def project(params: LstmParams, xs: np.ndarray) -> np.ndarray:
+    """The input projection xs W^T + b, (N, 4h), of N input rows (N, d),
+    stacked over any number of sequences."""
+    if xs.ndim != 2 or xs.shape[1] != params.input_size:
+        raise ShapeError("lstm inputs", ("N", params.input_size), xs.shape)
+    return xs @ params.w.T + params.b
+
+
 def run_lstm(params: LstmParams, xs: np.ndarray,
-             init: LstmState | None = None):
+             init: LstmState | None = None, zx: np.ndarray | None = None):
     """Unroll over xs of shape (T, d) from init, or from the all-zero state.
-    Returns (final state, trace); the final state's arrays are the trace's
-    last rows of h and c."""
+    zx, when given, is the sequence's (T, 4h) rows of `project` over a
+    stack of sequences; without it the unroll projects xs itself.  zx is
+    only read.  Returns (final state, trace); the final state's arrays are
+    the trace's last rows of h and c."""
     h = params.hidden_size
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
         raise ShapeError("run_lstm inputs", ("T", params.input_size), xs.shape)
     steps = xs.shape[0]
     if steps == 0:
         raise ValueError("run_lstm: empty sequence")
+    if zx is None:
+        zx = project(params, xs)
+    elif zx.shape != (steps, 4 * h):
+        raise ShapeError("run_lstm projection", (steps, 4 * h), zx.shape)
     dtype = params.w.dtype  # parameter precision governs the activations
     if init is None:
         init = LstmState(np.zeros(h, dtype=dtype), np.zeros(h, dtype=dtype))
@@ -172,21 +190,22 @@ def run_lstm(params: LstmParams, xs: np.ndarray,
         raise ShapeError("run_lstm state", (h,), init.h.shape, init.c.shape)
     trace = LstmTrace(xs, init.h, init.c, np.empty((steps, 4 * h), dtype=dtype),
                       *(np.empty((steps, h), dtype=dtype) for _ in range(3)))
-    # The input projection of every step at once; only U h_{t-1} recurs.
-    zx = xs @ params.w.T + params.b
-    u, gates, c, tanh_c, hs = params.u, trace.gates, trace.c, trace.tanh_c, trace.h
+    u = params.u
+    # One step's pre-activations; writing them into the gate row instead
+    # and applying the nonlinearities there in place measured slower.
+    z = np.empty(4 * h, dtype=dtype)
+    z_sig, z_tanh = z[:3 * h], z[3 * h:]
     h_prev, c_prev = init.h, init.c
-    for t in range(steps):
-        z = zx[t]
-        z += u @ h_prev
-        act = gates[t]
-        ops.sigmoid(z[:3 * h], out=act[:3 * h])
-        np.tanh(z[3 * h:], out=act[3 * h:])
-        np.multiply(act[:h], c_prev, out=c[t])
-        c[t] += act[h:2 * h] * act[3 * h:]
-        np.tanh(c[t], out=tanh_c[t])
-        np.multiply(act[2 * h:3 * h], tanh_c[t], out=hs[t])
-        h_prev, c_prev = hs[t], c[t]
+    for act, c_t, tanh_c_t, h_t, zx_t in zip(trace.gates, trace.c, trace.tanh_c,
+                                             trace.h, zx):
+        np.add(zx_t, u @ h_prev, out=z)
+        ops.sigmoid(z_sig, out=act[:3 * h])
+        np.tanh(z_tanh, out=act[3 * h:])
+        np.multiply(act[:h], c_prev, out=c_t)
+        c_t += act[h:2 * h] * act[3 * h:]
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(act[2 * h:3 * h], tanh_c_t, out=h_t)
+        h_prev, c_prev = h_t, c_t
     return LstmState(h_prev, c_prev), trace
 
 
@@ -198,8 +217,8 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
 
     dh_steps: optional (T, h) gradients flowing into each h_t from outside
     (e.g. a per-step output layer).  dh_final / dc_final: extra gradients on
-    the last state.  Returns (param grads, dh0, dc0), the last two the
-    gradients on the initial state.
+    the last state.  Returns (param grads in factored form, an LstmParams
+    of `Rows`; dh0, dc0), the last two the gradients on the initial state.
     """
     steps, h = trace.h.shape
     if trace.gates.shape != (steps, 4 * h) or params.hidden_size != h:
@@ -218,7 +237,8 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
     k = tanh_coef[:, h:]
     f = gates[:, :h]
     u_t = params.u.T
-    # Row t holds step t's packed dz; dW, dU and db come from all rows at once.
+    # Row t holds step t's packed dz; dW, dU and db come from the rows of
+    # all steps (and all videos of a batch) at once.
     dz_all = np.empty((steps, 4 * h), dtype=gates.dtype)
     dh_next = np.zeros(h, dtype=trace.h.dtype)
     dc_next = np.zeros(h, dtype=trace.h.dtype)
@@ -233,6 +253,5 @@ def lstm_sequence_backward(params: LstmParams, trace: LstmTrace,
         dh_next = u_t @ dz_all[t]
         dc_next = dc * f[t]
     h_prevs = np.concatenate((trace.h0[None, :], trace.h[:-1]))
-    grads = LstmParams((dz_all.T @ trace.xs).astype(dz_all.dtype, copy=False),
-                       dz_all.T @ h_prevs, dz_all.sum(axis=0))
+    grads = LstmParams(Rows(dz_all, trace.xs), Rows(dz_all, h_prevs), Rows(dz_all))
     return grads, dh_next, dc_next

@@ -11,6 +11,12 @@ Two training objectives are provided: per-segment categorical
 cross-entropy (supervised) and class-averaged binary cross-entropy on the
 pooled softmax (weakly supervised).  All gradients are hand-derived and
 flow through the decoder, the fusion block and both encoders.
+
+`project_inputs` computes the three LSTMs' input projections for the
+segments of any number of videos at once; `forward` takes one video's
+rows of them, or projects the video itself.  `model_backward` returns one
+video's gradient in factored form (`tree.RowGrads`), which a trainer
+reduces with those of the other videos of its minibatch.
 """
 
 import enum
@@ -24,7 +30,7 @@ from . import ops
 from .fusion import FusionParams, FusionTrace
 from .lstm import LstmParams, LstmState, LstmTrace, _glorot
 from .ops import ShapeError
-from .tree import ParamTree
+from .tree import ParamTree, RowGrads, Rows
 
 LOG_CLAMP = 1e-12  # floor for log arguments in the BCE losses
 
@@ -118,18 +124,39 @@ def average_pool(logits: np.ndarray) -> np.ndarray:
     return logits.mean(axis=0)
 
 
+def project_inputs(params: ModelParams, audios: list, visuals: list) -> list:
+    """Input projections of the audio encoder, the visual encoder and the
+    decoder for a list of videos, each LSTM's in one matrix product over the
+    segments of all of them.  audios[i] (T_i, d_a) and visuals[i] (T_i, d_v)
+    are video i's features.  Returns, per video, the (T_i, 4h) rows of each
+    projection that `forward` takes as proj."""
+    audio, visual = np.concatenate(audios), np.concatenate(visuals)
+    if audio.ndim != 2 or visual.ndim != 2 or audio.shape[0] != visual.shape[0]:
+        raise ShapeError("project_inputs", audio.shape, visual.shape)
+    za = lstm_mod.project(params.enc_audio, audio)
+    zv = lstm_mod.project(params.enc_visual, visual)
+    zd = lstm_mod.project(params.decoder, np.concatenate([audio, visual], axis=1))
+    bounds = np.cumsum([0] + [len(a) for a in audios]).tolist()
+    return [(za[lo:hi], zv[lo:hi], zd[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
-            init_mode: DecoderInit = DecoderInit.FUSION) -> PredictionTrace:
+            init_mode: DecoderInit = DecoderInit.FUSION,
+            proj: tuple | None = None) -> PredictionTrace:
     """Run the full model over one video.
 
-    audio: (T, d_a) features, visual: (T, d_v) features, same T.
+    audio: (T, d_a) features, visual: (T, d_v) features, same T.  proj,
+    when given, is the video's entry of `project_inputs` over a list of
+    videos; without it each LSTM projects the video's inputs itself.
     """
     if audio.ndim != 2 or visual.ndim != 2 or audio.shape[0] != visual.shape[0]:
         raise ShapeError("forward", audio.shape, visual.shape)
     if audio.shape[0] == 0:
         raise ValueError("forward: empty sequence")
-    a_state, a_trace = lstm_mod.run_lstm(params.enc_audio, audio)
-    v_state, v_trace = lstm_mod.run_lstm(params.enc_visual, visual)
+    za, zv, zd = (None, None, None) if proj is None else proj
+    a_state, a_trace = lstm_mod.run_lstm(params.enc_audio, audio, zx=za)
+    v_state, v_trace = lstm_mod.run_lstm(params.enc_visual, visual, zx=zv)
 
     fusion_trace = None
     if init_mode is DecoderInit.FUSION:
@@ -142,7 +169,8 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
         dec_init = LstmState(a_state.h + v_state.h, a_state.c + v_state.c)
 
     dec_inputs = np.concatenate([audio, visual], axis=1)
-    _, dec_trace = lstm_mod.run_lstm(params.decoder, dec_inputs, init=dec_init)
+    _, dec_trace = lstm_mod.run_lstm(params.decoder, dec_inputs, init=dec_init,
+                                     zx=zd)
 
     logits = dec_trace.h @ params.out_w.T + params.out_b
     probs = ops.softmax(logits)
@@ -165,7 +193,8 @@ def model_backward(trace: PredictionTrace, dlogits: np.ndarray,
 
     extra_dh_audio / extra_dh_visual inject additional gradients on the
     encoder final hidden states (used by the label-guided auxiliary loss).
-    Returns (ModelParams-shaped grads, None).
+    Returns (grads, None): grads is a RowGrads over a ModelParams of
+    `Rows`, the gradient rows of every layer with the inputs they met.
     """
     params = trace.params
     if dlogits.shape != trace.logits.shape:
@@ -178,7 +207,7 @@ def model_backward(trace: PredictionTrace, dlogits: np.ndarray,
         fusion_grads, d_a_state, d_v_state = fusion_mod.fuse_backward(
             params.fusion, trace.fusion_trace, dh0, dc0)
     else:
-        fusion_grads = params.fusion.map(np.zeros_like)
+        fusion_grads = params.fusion.map(Rows.empty)
         zero = np.zeros_like(dh0)
         if trace.init_mode is DecoderInit.AUDIO_ONLY:
             d_a_state = LstmState(dh0, dc0)
@@ -199,11 +228,11 @@ def model_backward(trace: PredictionTrace, dlogits: np.ndarray,
         params.enc_visual, trace.visual_trace, dh_final=dh_v, dc_final=d_v_state.c)
     grads = ModelParams(enc_audio=enc_a_grads, enc_visual=enc_v_grads,
                         fusion=fusion_grads, decoder=dec_grads,
-                        out_w=dlogits.T @ trace.dec_trace.h,
-                        out_b=dlogits.sum(axis=0))
+                        out_w=Rows(dlogits, trace.dec_trace.h),
+                        out_b=Rows(dlogits))
     # Input gradients are not computed; the pair stays for callers that
     # unpack one.
-    return grads, None
+    return RowGrads(grads), None
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,6 @@ def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return m @ x
 
 
-def matvec_grad(m: np.ndarray, x: np.ndarray, gout: np.ndarray):
-    """Backward of matvec: returns (grad wrt m, grad wrt x)."""
-    if gout.ndim != 1 or gout.shape[0] != m.shape[0]:
-        raise ShapeError("matvec_grad", m.shape, gout.shape)
-    return np.outer(gout, x), m.T @ gout
-
-
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function as 0.5 tanh(x / 2) + 0.5, written into `out` when
     given.  tanh saturates instead of overflowing, so no input needs a

@@ -3,6 +3,8 @@
 Parameters and gradients travel as {name: array} dicts so the same
 optimizer covers the model bundle and any auxiliary heads.  Updates are
 applied in place, in dict insertion order, so runs are deterministic.
+A step allocates no whole-array temporaries: every intermediate goes into
+two scratch buffers that the state keeps, sized to the largest parameter.
 """
 
 import math
@@ -33,13 +35,20 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    # dtype -> two flat scratch buffers, each as large as the largest
+    # parameter of that dtype
+    scratch: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
         state = cls()
+        largest = {}
         for name, arr in params.items():
             state.m[name] = np.zeros_like(arr)
             state.v[name] = np.zeros_like(arr)
+            largest[arr.dtype] = max(largest.get(arr.dtype, 0), arr.size)
+        state.scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype))
+                         for dtype, size in largest.items()}
         return state
 
 
@@ -80,8 +89,20 @@ def adam_step(params: dict, grads: dict, state: AdamState,
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch[p.dtype])
+        # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), operation for operation
+        # in that order, so the bits are those of the expression.
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        np.multiply(g, 1.0 - cfg.beta1, out=a)
+        m += a
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        np.multiply(g, 1.0 - cfg.beta2, out=a)
+        a *= g
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += cfg.eps
+        np.divide(m, bc1, out=b)
+        b *= cfg.lr
+        b /= a
+        p -= b

@@ -1,9 +1,14 @@
 """Training loops for both supervision settings, ablations, evaluation.
 
-The trainer accumulates per-video gradients over a batch, averages them,
-and applies Adam with global-norm clipping.  Runs are deterministic for a
-fixed seed: shuffling comes from one seeded generator and gradients are
-reduced in shuffled video order.
+Per minibatch, the trainer stacks the videos' segments and computes each
+LSTM's input projection once for all of them.  Each video then runs its
+own recurrence: forward, objective and a backward pass that returns its
+gradient in factored form, as rows (`tree.Rows`).  One reduction over the
+rows of the whole batch gives the mean gradient, one matrix product or
+column sum per stored array, and Adam with global-norm clipping applies
+it.  Evaluation projects streamed chunks of EVAL_CHUNK videos the same
+way.  Runs are deterministic for a fixed seed: shuffling comes from one
+seeded generator and the rows are stacked in shuffled video order.
 
 Decoder-initialization modes mirror the ablation table: the full fusion
 path, a single modality's final state, or "label_guided", which sums both
@@ -21,13 +26,18 @@ from . import data as data_mod
 from . import fusion as fusion_mod
 from . import model as model_mod
 from . import optim
-from .data import DatasetManifest, FeatureSequence
+from .data import DatasetManifest
 from .fusion import MlpParams
 from .model import DecoderInit, ModelParams
 from .ops import Precision
-from .tree import ParamTree
+from .tree import ParamTree, RowGrads, reduce_rows
 
 SETTINGS = ("supervised", "weak")
+
+# Videos per input projection in evaluation: enough rows for the product
+# to run at full speed, few enough that a split's projections are never
+# held at once.
+EVAL_CHUNK = 16
 
 # Table-3 row name -> (decoder init, auxiliary heads enabled)
 INIT_MODES = {
@@ -112,7 +122,8 @@ def aux_objective(heads: AuxHeads, trace: model_mod.PredictionTrace,
                   video_label: np.ndarray, weight: float):
     """Video-level BCE on each encoder's final hidden state.
 
-    Returns (weighted loss, head grads, d(audio final h), d(visual final h)).
+    Returns (weighted loss, head grads as a RowGrads, one row per head,
+    d(audio final h), d(visual final h)).
     """
     out_a, tr_a = fusion_mod.mlp_forward(heads.aux_audio, trace.audio_state.h)
     out_v, tr_v = fusion_mod.mlp_forward(heads.aux_visual, trace.visual_state.h)
@@ -120,7 +131,8 @@ def aux_objective(heads: AuxHeads, trace: model_mod.PredictionTrace,
     loss_v, dout_v = model_mod.bce_on_softmax(out_v, video_label)
     grads_a, dh_a = fusion_mod.mlp_backward(heads.aux_audio, tr_a, weight * dout_a)
     grads_v, dh_v = fusion_mod.mlp_backward(heads.aux_visual, tr_v, weight * dout_v)
-    return weight * (loss_a + loss_v), AuxHeads(grads_a, grads_v), dh_a, dh_v
+    return (weight * (loss_a + loss_v), RowGrads(AuxHeads(grads_a, grads_v)),
+            dh_a, dh_v)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +174,15 @@ def evaluate_params(params: ModelParams, sequences: list, class_names: list,
                          % (params.num_events + 1, len(class_names)))
     predictions = []
     labels = []
-    for seq in sequences:
-        trace = model_mod.forward(params, seq.audio, seq.visual, init_mode)
-        predictions.append(model_mod.predict_segments(trace))
-        labels.append(seq.labels)
+    for start in range(0, len(sequences), EVAL_CHUNK):
+        chunk = sequences[start:start + EVAL_CHUNK]
+        projections = model_mod.project_inputs(
+            params, [seq.audio for seq in chunk], [seq.visual for seq in chunk])
+        for seq, proj in zip(chunk, projections):
+            trace = model_mod.forward(params, seq.audio, seq.visual, init_mode,
+                                      proj)
+            predictions.append(model_mod.predict_segments(trace))
+            labels.append(seq.labels)
     predictions = np.concatenate(predictions) if predictions else np.zeros(0, np.int64)
     labels = np.concatenate(labels) if labels else np.zeros(0, np.int64)
     per_class = []
@@ -220,31 +237,38 @@ class TrainResult:
         return len(self.history)
 
 
-def _video_grads(params: ModelParams, seq: FeatureSequence, target,
-                 setting: str, dec_init: DecoderInit,
-                 aux: AuxHeads | None, aux_weight: float,
-                 video_label: np.ndarray | None):
-    """Loss and gradients for one video.  `target` is segment labels in the
-    supervised setting and a video-level label vector in the weak setting."""
-    trace = model_mod.forward(params, seq.audio, seq.visual, dec_init)
-    if setting == "supervised":
-        loss, dlogits = model_mod.supervised_objective(trace, target)
-    else:
-        loss, dlogits = model_mod.weak_objective(trace, target)
-    if aux is None:
-        grads, _ = model_mod.model_backward(trace, dlogits)
-        return loss, grads, None
-    aux_loss, aux_grads, dh_a, dh_v = aux_objective(aux, trace, video_label,
-                                                    aux_weight)
-    grads, _ = model_mod.model_backward(trace, dlogits,
-                                        extra_dh_audio=dh_a,
-                                        extra_dh_visual=dh_v)
-    return loss + aux_loss, grads, aux_grads
-
-
-def _accumulate(acc: dict, grads, scale: float):
-    for name, arr in grads.arrays():
-        acc[name] += scale * arr
+def _minibatch_grads(params: ModelParams, seqs: list, targets: list,
+                     setting: str, dec_init: DecoderInit,
+                     aux: AuxHeads | None, aux_weight: float,
+                     video_labels: list):
+    """One minibatch: the summed loss of its videos and their mean gradient,
+    dense, as (loss, model grads, head grads or None).  A target is segment
+    labels in the supervised setting and a video-level label vector in the
+    weak setting.  Every stored array's gradient is one product or column
+    sum over the batch's stacked rows."""
+    objective = (model_mod.supervised_objective if setting == "supervised"
+                 else model_mod.weak_objective)
+    projections = model_mod.project_inputs(
+        params, [seq.audio for seq in seqs], [seq.visual for seq in seqs])
+    total = 0.0
+    model_rows, head_rows = [], []
+    for seq, target, video_label, proj in zip(seqs, targets, video_labels,
+                                              projections):
+        trace = model_mod.forward(params, seq.audio, seq.visual, dec_init, proj)
+        loss, dlogits = objective(trace, target)
+        extra = {}
+        if aux is not None:
+            aux_loss, aux_grads, dh_a, dh_v = aux_objective(aux, trace, video_label,
+                                                            aux_weight)
+            loss += aux_loss
+            head_rows.append(aux_grads.bundle)
+            extra = dict(extra_dh_audio=dh_a, extra_dh_visual=dh_v)
+        grads, _ = model_mod.model_backward(trace, dlogits, **extra)
+        model_rows.append(grads.bundle)
+        total += loss
+    scale = 1.0 / len(seqs)
+    return (total, reduce_rows(model_rows, scale),
+            reduce_rows(head_rows, scale) if head_rows else None)
 
 
 def train(manifest: DatasetManifest, cfg: TrainConfig,
@@ -284,7 +308,6 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
         opt_params.update(aux.arrays())
     opt_state = optim.AdamState.for_params(opt_params)
     adam_cfg = cfg.adam()
-    zeros = {name: np.zeros_like(arr) for name, arr in opt_params.items()}
 
     result = TrainResult(params=params, config=cfg)
     best_params = None
@@ -296,18 +319,15 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            acc = {name: arr.copy() for name, arr in zeros.items()}
-            scale = 1.0 / len(batch)
-            for idx in batch:
-                seq = train_seqs[idx]
-                loss, grads, aux_grads = _video_grads(
-                    params, seq, targets[idx], cfg.setting, dec_init,
-                    aux, cfg.aux_weight, video_labels[idx])
-                epoch_loss += loss
-                _accumulate(acc, grads, scale)
-                if aux_grads is not None:
-                    _accumulate(acc, aux_grads, scale)
-            optim.adam_step(opt_params, acc, opt_state, adam_cfg)
+            loss, grads, aux_grads = _minibatch_grads(
+                params, [train_seqs[i] for i in batch], [targets[i] for i in batch],
+                cfg.setting, dec_init, aux, cfg.aux_weight,
+                [video_labels[i] for i in batch])
+            epoch_loss += loss
+            dense = dict(grads.arrays())
+            if aux_grads is not None:
+                dense.update(aux_grads.arrays())
+            optim.adam_step(opt_params, dense, opt_state, adam_cfg)
         epoch_loss /= len(train_seqs)
         if not math.isfinite(epoch_loss):
             raise FloatingPointError("training loss went non-finite at epoch %d"

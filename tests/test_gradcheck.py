@@ -1,6 +1,7 @@
 import numpy as np
 
 from avloc import gradcheck, model, ops, trainer
+from avloc.tree import RowGrads, Rows
 
 
 def test_gradcheck_passes_with_tiny_error():
@@ -31,7 +32,8 @@ def test_gradcheck_covers_the_aux_heads(monkeypatch):
 
     def doubled_head_grads(*args):
         loss, grads, dh_a, dh_v = real(*args)
-        return loss, grads.map(lambda g: 2.0 * g), dh_a, dh_v
+        doubled = grads.bundle.map(lambda rows: Rows(2.0 * rows.g, rows.x))
+        return loss, RowGrads(doubled), dh_a, dh_v
 
     monkeypatch.setattr(trainer, "aux_objective", doubled_head_grads)
     result = gradcheck.run_gradcheck(seed=0)

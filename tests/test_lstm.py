@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from avloc import checkpoint, lstm, model, ops
+from avloc.tree import reduce_rows
 
 import _reference as ref
 
@@ -109,7 +110,7 @@ def _loss_and_grads(p, xs, r, s, q, init=None):
     loss = float((trace.h * r).sum() + state.h @ s + state.c @ q)
     grads, dh0, dc0 = lstm.lstm_sequence_backward(
         p, trace, dh_steps=r, dh_final=s, dc_final=q)
-    return loss, grads, dh0, dc0
+    return loss, reduce_rows([grads]), dh0, dc0
 
 
 def test_backward_matches_finite_differences():
@@ -152,7 +153,7 @@ def test_backward_final_state_only():
     xs = rng.standard_normal((4, 3))
     s = rng.standard_normal(4)
     state, trace = lstm.run_lstm(p, xs)
-    grads, _, _ = lstm.lstm_sequence_backward(p, trace, dh_final=s)
+    grads = reduce_rows([lstm.lstm_sequence_backward(p, trace, dh_final=s)[0]])
     eps = 1e-6
     for name, arr in p.tensors():
         num = np.zeros_like(arr)
@@ -262,7 +263,7 @@ def test_packed_lstm_is_bitwise_the_per_gate_algorithm(d, h):
             grads, dh0, dc0 = lstm.lstm_sequence_backward(
                 p, trace, dh_steps=dh_steps, dh_final=dh_final,
                 dc_final=dc_final)
-            got = dict(grads.tensors())
+            got = dict(reduce_rows([grads]).tensors())
             assert got.keys() == want.keys()
             for name in want:
                 assert got[name].dtype == dtype, name

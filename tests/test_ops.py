@@ -35,20 +35,6 @@ def test_matvec_shape_errors():
         ops.matvec(np.zeros((2, 3)), np.zeros(4))
     with pytest.raises(ops.ShapeError):
         ops.matvec(np.zeros(3), np.zeros(3))
-    with pytest.raises(ops.ShapeError):
-        ops.matvec_grad(np.zeros((2, 3)), np.zeros(3), np.zeros(5))
-
-
-def test_matvec_grad_against_finite_differences():
-    rng = np.random.default_rng(1)
-    m = rng.standard_normal((3, 4))
-    x = rng.standard_normal(4)
-    gout = rng.standard_normal(3)
-    dm, dx = ops.matvec_grad(m, x, gout)
-    num_dm = finite_diff(lambda mm: float(gout @ (mm @ x)), m)
-    num_dx = finite_diff(lambda xx: float(gout @ (m @ xx)), x)
-    assert np.allclose(dm, num_dm, atol=1e-8)
-    assert np.allclose(dx, num_dx, atol=1e-8)
 
 
 def test_sigmoid_values_and_range():

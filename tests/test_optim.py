@@ -92,3 +92,67 @@ def test_moments_track_running_averages():
     assert np.allclose(state.m["w"], m_want, atol=1e-12)
     assert np.allclose(state.v["w"], v_want, atol=1e-12)
     assert state.step == 2
+
+
+def _adam_expression(params, grads, state, cfg):
+    """The Adam update as whole-array expressions, one temporary per
+    operation: the reference for the in-place step."""
+    state.step += 1
+    bc1 = 1.0 - cfg.beta1 ** state.step
+    bc2 = 1.0 - cfg.beta2 ** state.step
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_step_is_bitwise_the_expression(dtype):
+    rng = np.random.default_rng(11)
+    shapes = {"w": (512, 640), "b": (640,)}
+    start = {name: rng.standard_normal(shape).astype(dtype)
+             for name, shape in shapes.items()}
+    got = {name: arr.copy() for name, arr in start.items()}
+    want = {name: arr.copy() for name, arr in start.items()}
+    got_state, want_state = make_state(got), make_state(want)
+    cfg = optim.AdamConfig(lr=3e-3, clip_norm=None)
+    for _ in range(5):
+        grads = {name: rng.standard_normal(shape).astype(dtype)
+                 for name, shape in shapes.items()}
+        kept = {name: g.copy() for name, g in grads.items()}
+        optim.adam_step(got, grads, got_state, cfg)
+        _adam_expression(want, kept, want_state, cfg)
+        for name in shapes:
+            assert np.array_equal(grads[name], kept[name]), name  # not written
+            assert got[name].tobytes() == want[name].tobytes(), name
+            assert got_state.m[name].tobytes() == want_state.m[name].tobytes()
+            assert got_state.v[name].tobytes() == want_state.v[name].tobytes()
+
+
+def test_step_allocates_no_whole_array_temporaries():
+    """One Adam step over the AVE-shape model (d_a=128, d_v=512, h=128,
+    C=28) and its auxiliary heads, in float32, peaks at no more than twice
+    the largest parameter: the two scratch buffers, not one temporary per
+    operation."""
+    import tracemalloc
+
+    from avloc import model, trainer
+
+    rng = np.random.default_rng(0)
+    params = model.init_model_params(128, 512, 128, 28, rng, np.float32)
+    heads = trainer.init_aux_heads(128, 28, rng, np.float32)
+    opt = dict(params.arrays(), **dict(heads.arrays()))
+    grads = {name: rng.standard_normal(arr.shape).astype(np.float32)
+             for name, arr in opt.items()}
+    state = make_state(opt)
+    largest = max(arr.nbytes for arr in opt.values())
+    tracemalloc.start()
+    try:
+        optim.adam_step(opt, grads, state, optim.AdamConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * largest, (peak, largest)

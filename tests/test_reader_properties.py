@@ -4,8 +4,10 @@ and re-dimensioned files fail with a `FormatError` subclass and never with
 another exception.  The two text readers, `data.read_manifest` and
 `cli.read_config` (with the options it feeds `cli.build_synth_config`):
 truncated, byte-flipped and junk-lined files fail with `ManifestError` or
-`ConfigError` and never with another exception."""
+`ConfigError` and never with another exception, and a leading UTF-8
+byte-order mark changes nothing."""
 
+import codecs
 import struct
 import tracemalloc
 
@@ -170,6 +172,15 @@ def test_byte_flips_raise_only_the_readers_error(text_case, draw):
         read(bytes(blob))
     except error:
         pass
+
+
+def test_a_byte_order_mark_reads_as_the_same_file(text_case):
+    valid, read, error = text_case
+    assert read(codecs.BOM_UTF8 + valid) == read(valid)
+    # A bad byte after the mark is still named by its offset in the file.
+    with pytest.raises(error) as info:
+        read(codecs.BOM_UTF8 + valid[:5] + b"\xff" + valid[5:])
+    assert "case: not UTF-8 text at byte 8:" in str(info.value)
 
 
 @FUZZ

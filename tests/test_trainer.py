@@ -255,9 +255,10 @@ def test_adam_over_packed_arrays_is_bitwise_adam_over_per_gate_views():
             "v", rng.standard_normal((6, 5)).astype(np.float32),
             rng.standard_normal((6, 7)).astype(np.float32),
             rng.integers(0, 4, size=6), 3)
-        _, grads, aux_grads = trainer._video_grads(
-            packed, seq, seq.video_label().astype(np.float32), "weak",
-            DecoderInit.SUM, packed_aux, 1.0, seq.video_label().astype(np.float32))
+        label = seq.video_label().astype(np.float32)
+        _, grads, aux_grads = trainer._minibatch_grads(
+            packed, [seq], [label], "weak", DecoderInit.SUM, packed_aux, 1.0,
+            [label])
         trainer.optim.adam_step(opt_packed, {name: arr.copy() for name, arr in
                                              (*grads.arrays(), *aux_grads.arrays())},
                                 state_packed, cfg)
