@@ -8,6 +8,7 @@ mismatches, invalid configs) print a message to stderr and exit 1.
 import argparse
 import dataclasses
 import sys
+import typing
 
 from . import checkpoint, data, gradcheck, optim, trainer
 from .binio import FormatError
@@ -34,20 +35,23 @@ def read_config(path) -> dict:
     return values
 
 
-def _convert(key: str, text: str, target_type):
+# option name -> config field, where they differ
+_FIELD_NAMES = {"init": "init_mode", "hidden": "hidden_size"}
+
+
+def _convert(key: str, text: str, field_type):
+    """`text` as a value of a config field's annotated type; a field typed
+    `X | None` also takes `none`."""
+    if field_type is Precision:
+        return _precision(text)
+    base, *optional = typing.get_args(field_type) or (field_type,)
+    if optional and text.lower() == "none":
+        return None
     try:
-        return target_type(text)
+        return base(text)
     except ValueError:
         raise ConfigError("%s: expected %s, got %r"
-                          % (key, target_type.__name__, text)) from None
-
-
-def _optional_float(key: str, text: str) -> float | None:
-    return None if text.lower() == "none" else _convert(key, text, float)
-
-
-def _optional_int(key: str, text: str) -> int | None:
-    return None if text.lower() == "none" else _convert(key, text, int)
+                          % (key, base.__name__, text)) from None
 
 
 def _precision(text: str) -> Precision:
@@ -58,55 +62,31 @@ def _precision(text: str) -> Precision:
                           % text) from None
 
 
-def build_synth_config(file_values: dict) -> SynthConfig:
-    cfg = SynthConfig()
-    known = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
-    for key, text in file_values.items():
-        if key not in known:
-            raise ConfigError("unknown synth option %r" % key)
-        target = type(known[key])
-        setattr(cfg, key, _convert(key, text, target))
+def _build_config(cls, kind: str, file_values: dict, args=None):
+    """A `cls` with the file's values set over its defaults, then the value
+    of every flag in `args` that was given.  An option is a field of `cls`,
+    under its `_FIELD_NAMES` name where it has one."""
+    renamed = {name: key for key, name in _FIELD_NAMES.items()}
+    options = {renamed.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    flags = {key: getattr(args, key) for key in options
+             if getattr(args, key, None) is not None}
+    cfg = cls()
+    for key, value in [*file_values.items(), *flags.items()]:
+        if key not in options:
+            raise ConfigError("unknown %s option %r" % (kind, key))
+        # Flags that take "none" arrive as text, like a file's values.
+        if isinstance(value, str):
+            value = _convert(key, value, options[key].type)
+        setattr(cfg, options[key].name, value)
     return cfg
 
 
-_TRAIN_KEYS = ("setting", "init", "epochs", "batch_size", "lr", "beta1",
-               "beta2", "eps", "clip_norm", "seed", "hidden", "precision",
-               "patience", "aux_weight")
-_INT_KEYS = ("epochs", "batch_size", "seed", "hidden")
-_FLOAT_KEYS = ("lr", "beta1", "beta2", "eps", "aux_weight")
-# option name -> TrainConfig field, where they differ
-_TRAIN_FIELDS = {"init": "init_mode", "hidden": "hidden_size"}
-
-
-def _parse_train_value(key: str, text: str):
-    if key in ("setting", "init"):
-        return text
-    if key in _INT_KEYS:
-        return _convert(key, text, int)
-    if key in _FLOAT_KEYS:
-        return _convert(key, text, float)
-    if key == "clip_norm":
-        return _optional_float(key, text)
-    if key == "patience":
-        return _optional_int(key, text)
-    if key == "precision":
-        return _precision(text)
-    raise ConfigError("unknown train option %r" % key)
+def build_synth_config(file_values: dict) -> SynthConfig:
+    return _build_config(SynthConfig, "synth", file_values)
 
 
 def build_train_config(file_values: dict, args) -> TrainConfig:
-    cfg = TrainConfig()
-    for key, text in file_values.items():
-        setattr(cfg, _TRAIN_FIELDS.get(key, key), _parse_train_value(key, text))
-    for key in _TRAIN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is None:
-            continue
-        # clip_norm and patience arrive as raw strings so "none" works
-        if isinstance(flag, str):
-            flag = _parse_train_value(key, flag)
-        setattr(cfg, _TRAIN_FIELDS.get(key, key), flag)
-    return cfg
+    return _build_config(TrainConfig, "train", file_values, args)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -196,7 +176,7 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ConfigError, FormatError, ManifestError, ShapeError,
-            optim.NanGradError, FloatingPointError, ValueError, OSError) as exc:
+            optim.NanGradError, FloatingPointError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -33,6 +33,10 @@ class ManifestError(ValueError):
     pass
 
 
+class ConfigError(ValueError):
+    pass
+
+
 @dataclass
 class FeatureSequence:
     """Per-video features and segment labels.
@@ -72,6 +76,9 @@ class FeatureSequence:
                              % (self.labels.shape, t))
         if t == 0:
             raise ValueError("empty sequence")
+        if self.audio_dim < 1 or self.visual_dim < 1:
+            raise ValueError("feature dims must be >= 1, got d_a=%d d_v=%d"
+                             % (self.audio_dim, self.visual_dim))
         if self.labels.min() < 0 or self.labels.max() > self.num_events:
             raise ValueError("labels out of range [0, %d]" % self.num_events)
 
@@ -149,6 +156,9 @@ class DatasetManifest:
     def validate(self):
         if self.num_events < 1:
             raise ManifestError("C must be >= 1, got %d" % self.num_events)
+        if self.audio_dim < 1 or self.visual_dim < 1:
+            raise ManifestError("d_a and d_v must be >= 1, got d_a=%d d_v=%d"
+                                % (self.audio_dim, self.visual_dim))
         if len(self.categories) != self.num_events:
             raise ManifestError("expected %d category names, got %d"
                                 % (self.num_events, len(self.categories)))
@@ -280,16 +290,18 @@ class SynthConfig:
 
     def validate(self):
         if self.num_events < 1:
-            raise ValueError("num_events must be >= 1")
+            raise ConfigError("num_events must be >= 1")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise ConfigError("noise_sigma must be >= 0")
         if not 0.0 <= self.background_overlap <= 1.0:
-            raise ValueError("background_overlap must lie in [0, 1]")
+            raise ConfigError("background_overlap must lie in [0, 1]")
         if self.num_segments < 1:
-            raise ValueError("num_segments must be >= 1")
+            raise ConfigError("num_segments must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0, got %d" % self.seed)
         limit = min(self.audio_dim, self.visual_dim)
         if self.num_events + 1 > limit:
-            raise ValueError(
+            raise ConfigError(
                 "cannot build %d orthogonal prototypes in %d dimensions; "
                 "need num_events + 1 <= min(d_a, d_v)"
                 % (self.num_events + 1, limit))

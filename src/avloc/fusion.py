@@ -36,10 +36,6 @@ class MlpParams(ParamTree):
     b2: np.ndarray
 
     @property
-    def input_size(self) -> int:
-        return self.w1.shape[1]
-
-    @property
     def output_size(self) -> int:
         return self.w2.shape[0]
 
@@ -62,8 +58,10 @@ def init_mlp_params(input_size: int, hidden_size: int, output_size: int,
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
-    hidden = ops.tanh(ops.matvec(params.w1, x) + params.b1)
-    y = ops.matvec(params.w2, hidden) + params.b2
+    if x.shape[-1:] != params.w1.shape[1:]:
+        raise ShapeError("mlp_forward", params.w1.shape, x.shape)
+    hidden = np.tanh(x @ params.w1.T + params.b1)
+    y = hidden @ params.w2.T + params.b2
     return y, MlpTrace(x, hidden)
 
 
@@ -115,8 +113,8 @@ def _fuse_track(mlp: MlpParams, a: np.ndarray, v: np.ndarray):
     ga, tr_a = mlp_forward(mlp, a)
     gv, tr_v = mlp_forward(mlp, v)
     m = 0.5 * (ga + gv)
-    out_a = ops.tanh(a + m)
-    out_v = ops.tanh(v + m)
+    out_a = np.tanh(a + m)
+    out_v = np.tanh(v + m)
     return out_a + out_v, _TrackTrace(a, v, tr_a, tr_v, out_a, out_v)
 
 

@@ -83,6 +83,8 @@ def run_gradcheck(seed: int = 0, eps: float = 1e-5,
                   tolerance: float = 1e-4) -> GradcheckResult:
     """Check every init mode under both losses on a tiny model and a
     minibatch of tiny videos, every parameter entry."""
+    if seed < 0:
+        raise trainer.ConfigError("seed must be >= 0, got %d" % seed)
     rng = np.random.default_rng(seed)
     params = model_mod.init_model_params(rng=rng, dtype=np.float64, **TINY_DIMS)
     heads = trainer.init_aux_heads(params.hidden_size, params.num_events, rng,
@@ -126,7 +128,7 @@ def run_gradcheck(seed: int = 0, eps: float = 1e-5,
             return total / len(seqs)
 
         _, grads, aux_grads = trainer._minibatch_grads(
-            params, seqs, targets, setting, dec_init, aux, weight, video_labels)
+            params, seqs, video_labels, setting, dec_init, aux, weight)
         analytic = dict(grads.tensors())
         if aux_grads is not None:
             analytic.update(aux_grads.tensors())

@@ -104,12 +104,10 @@ class PredictionTrace:
     audio_state: LstmState
     visual_state: LstmState
     fusion_trace: FusionTrace | None
-    dec_inputs: np.ndarray   # (T, d_a + d_v)
-    dec_trace: LstmTrace
+    dec_trace: LstmTrace     # its xs are the (T, d_a + d_v) decoder inputs
     logits: np.ndarray       # (T, C+1)
     probs: np.ndarray        # (T, C+1), softmax per row
     pooled: np.ndarray       # (C+1,), mean of logits
-    pooled_probs: np.ndarray  # (C+1,), softmax of pooled
 
     @property
     def length(self) -> int:
@@ -175,14 +173,13 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
     logits = dec_trace.h @ params.out_w.T + params.out_b
     probs = ops.softmax(logits)
     pooled = average_pool(logits)
-    pooled_probs = ops.softmax(pooled)
     return PredictionTrace(
         params=params, init_mode=init_mode,
         audio_trace=a_trace, visual_trace=v_trace,
         audio_state=a_state, visual_state=v_state,
         fusion_trace=fusion_trace,
-        dec_inputs=dec_inputs, dec_trace=dec_trace,
-        logits=logits, probs=probs, pooled=pooled, pooled_probs=pooled_probs,
+        dec_trace=dec_trace,
+        logits=logits, probs=probs, pooled=pooled,
     )
 
 

@@ -34,13 +34,6 @@ class ShapeError(ValueError):
         self.shapes = shapes
 
 
-def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product m @ x for an (r, c) matrix and a length-c vector."""
-    if m.ndim != 2 or x.ndim != 1 or m.shape[1] != x.shape[0]:
-        raise ShapeError("matvec", m.shape, x.shape)
-    return m @ x
-
-
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function as 0.5 tanh(x / 2) + 0.5, written into `out` when
     given.  tanh saturates instead of overflowing, so no input needs a
@@ -59,10 +52,6 @@ def sigmoid_grad(out: np.ndarray, gout: np.ndarray) -> np.ndarray:
     if out.shape != gout.shape:
         raise ShapeError("sigmoid_grad", out.shape, gout.shape)
     return gout * out * (1.0 - out)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
 
 
 def tanh_grad(out: np.ndarray, gout: np.ndarray) -> np.ndarray:

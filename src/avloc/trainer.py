@@ -26,7 +26,7 @@ from . import data as data_mod
 from . import fusion as fusion_mod
 from . import model as model_mod
 from . import optim
-from .data import DatasetManifest
+from .data import ConfigError, DatasetManifest
 from .fusion import MlpParams
 from .model import DecoderInit, ModelParams
 from .ops import Precision
@@ -48,10 +48,6 @@ INIT_MODES = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class TrainConfig:
     setting: str = "supervised"
@@ -59,9 +55,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 16
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float | None = 5.0
     seed: int = 0
     hidden_size: int = 32
@@ -78,21 +71,28 @@ class TrainConfig:
                               % ("/".join(INIT_MODES), self.init_mode))
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1, got %d" % self.epochs)
-        if self.lr <= 0.0:
-            raise ConfigError("learning rate must be > 0, got %g" % self.lr)
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError("learning rate must be finite and > 0, got %g"
+                              % self.lr)
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0.0):
+            raise ConfigError("clip_norm must be finite and > 0 or None, got %g"
+                              % self.clip_norm)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0, got %d" % self.seed)
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1, got %d" % self.batch_size)
         if self.hidden_size < 1:
             raise ConfigError("hidden_size must be >= 1, got %d" % self.hidden_size)
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be >= 1 or None, got %d" % self.patience)
-        if self.aux_weight < 0.0:
-            raise ConfigError("aux_weight must be >= 0, got %g" % self.aux_weight)
+        if not (math.isfinite(self.aux_weight) and self.aux_weight >= 0.0):
+            raise ConfigError("aux_weight must be finite and >= 0, got %g"
+                              % self.aux_weight)
         return self
 
     def adam(self) -> optim.AdamConfig:
-        return optim.AdamConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                                eps=self.eps, clip_norm=self.clip_norm)
+        return optim.AdamConfig(lr=self.lr, clip_norm=self.clip_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +199,13 @@ def evaluate(params: ModelParams, manifest: DatasetManifest, split: str,
              init_mode: DecoderInit = DecoderInit.FUSION) -> EvalReport:
     sequences = data_mod.load_split(manifest, split)
     if params.audio_dim != manifest.audio_dim or params.visual_dim != manifest.visual_dim:
-        raise ValueError(
+        raise data_mod.ManifestError(
             "checkpoint dims (d_a=%d, d_v=%d) do not match manifest (d_a=%d, d_v=%d)"
             % (params.audio_dim, params.visual_dim,
                manifest.audio_dim, manifest.visual_dim))
     if params.num_events != manifest.num_events:
-        raise ValueError("checkpoint has C=%d events, manifest has C=%d"
-                         % (params.num_events, manifest.num_events))
+        raise data_mod.ManifestError("checkpoint has C=%d events, manifest has C=%d"
+                                     % (params.num_events, manifest.num_events))
     return evaluate_params(params, sequences, manifest.class_names(), init_mode)
 
 
@@ -237,25 +237,24 @@ class TrainResult:
         return len(self.history)
 
 
-def _minibatch_grads(params: ModelParams, seqs: list, targets: list,
+def _minibatch_grads(params: ModelParams, seqs: list, video_labels: list,
                      setting: str, dec_init: DecoderInit,
-                     aux: AuxHeads | None, aux_weight: float,
-                     video_labels: list):
+                     aux: AuxHeads | None, aux_weight: float):
     """One minibatch: the summed loss of its videos and their mean gradient,
-    dense, as (loss, model grads, head grads or None).  A target is segment
-    labels in the supervised setting and a video-level label vector in the
-    weak setting.  Every stored array's gradient is one product or column
-    sum over the batch's stacked rows."""
-    objective = (model_mod.supervised_objective if setting == "supervised"
+    dense, as (loss, model grads, head grads or None).  A video's target is
+    its segment labels in the supervised setting and its video_labels entry
+    in the weak setting.  Every stored array's gradient is one product or
+    column sum over the batch's stacked rows."""
+    supervised = setting == "supervised"
+    objective = (model_mod.supervised_objective if supervised
                  else model_mod.weak_objective)
     projections = model_mod.project_inputs(
         params, [seq.audio for seq in seqs], [seq.visual for seq in seqs])
     total = 0.0
     model_rows, head_rows = [], []
-    for seq, target, video_label, proj in zip(seqs, targets, video_labels,
-                                              projections):
+    for seq, video_label, proj in zip(seqs, video_labels, projections):
         trace = model_mod.forward(params, seq.audio, seq.visual, dec_init, proj)
-        loss, dlogits = objective(trace, target)
+        loss, dlogits = objective(trace, seq.labels if supervised else video_label)
         extra = {}
         if aux is not None:
             aux_loss, aux_grads, dh_a, dh_v = aux_objective(aux, trace, video_label,
@@ -293,14 +292,12 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
     aux = (init_aux_heads(cfg.hidden_size, manifest.num_events, rng, dtype)
            if use_aux else None)
 
-    # The weak path sees only video-level labels, fixed before the loop.
-    if cfg.setting == "weak":
-        targets = [seq.video_label().astype(dtype) for seq in train_seqs]
-        video_labels = targets
+    # The weak path sees only video-level labels, fixed before the loop;
+    # the aux heads read them too.
+    if cfg.setting == "weak" or use_aux:
+        video_labels = [seq.video_label().astype(dtype) for seq in train_seqs]
     else:
-        targets = [seq.labels for seq in train_seqs]
-        video_labels = ([seq.video_label().astype(dtype) for seq in train_seqs]
-                        if use_aux else [None] * len(train_seqs))
+        video_labels = [None] * len(train_seqs)
 
     # One update per stored (gate-packed) array instead of one per gate view.
     opt_params = dict(params.arrays())
@@ -320,9 +317,9 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             loss, grads, aux_grads = _minibatch_grads(
-                params, [train_seqs[i] for i in batch], [targets[i] for i in batch],
-                cfg.setting, dec_init, aux, cfg.aux_weight,
-                [video_labels[i] for i in batch])
+                params, [train_seqs[i] for i in batch],
+                [video_labels[i] for i in batch],
+                cfg.setting, dec_init, aux, cfg.aux_weight)
             epoch_loss += loss
             dense = dict(grads.arrays())
             if aux_grads is not None:

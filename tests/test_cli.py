@@ -1,11 +1,14 @@
+import dataclasses
 import re
+import typing
 
 import numpy as np
 import pytest
 
-from avloc import checkpoint, cli, model
+from avloc import binio, checkpoint, cli, data, model
+from avloc.data import SynthConfig
 from avloc.ops import Precision
-from avloc.trainer import ConfigError
+from avloc.trainer import ConfigError, TrainConfig
 
 
 def test_read_config_skips_blanks_and_comments(tmp_path):
@@ -81,6 +84,61 @@ def test_unknown_train_key_is_rejected():
     args = parse_train([])
     with pytest.raises(ConfigError):
         cli.build_train_config({"momentum": "0.9"}, args)
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "init_mode",
+                                 "hidden_size"])
+def test_adam_constants_and_field_names_are_not_train_options(key):
+    with pytest.raises(ConfigError) as info:
+        cli.build_train_config({key: "0.5"}, parse_train([]))
+    assert str(info.value) == "unknown train option %r" % key
+
+
+# (config class, option name, field) for every field of both configs
+RENAMED = {"init_mode": "init", "hidden_size": "hidden"}
+OPTIONS = [(cls, RENAMED.get(f.name, f.name), f)
+           for cls in (TrainConfig, SynthConfig) for f in dataclasses.fields(cls)]
+SAMPLES = {int: ("7", 7), float: ("0.375", 0.375), str: ("weak", "weak"),
+           Precision: ("checking", Precision.CHECKING)}
+
+
+def build(cls, values: dict):
+    if cls is TrainConfig:
+        return cli.build_train_config(values, parse_train([]))
+    return cli.build_synth_config(values)
+
+
+def test_the_optional_fields_are_patience_and_clip_norm():
+    optional = {f.name for _, _, f in OPTIONS
+                if type(None) in typing.get_args(f.type)}
+    assert optional == {"patience", "clip_norm"}
+
+
+@pytest.mark.parametrize("cls,key,field", OPTIONS,
+                         ids=["%s.%s" % (c.__name__, k) for c, k, _ in OPTIONS])
+def test_every_config_field_is_an_option_of_its_type(cls, key, field):
+    base = (typing.get_args(field.type) or (field.type,))[0]
+    text, value = SAMPLES[base]
+    assert getattr(build(cls, {key: text}), field.name) == value
+
+    # "none" is None for exactly the `X | None` fields; any other field
+    # rejects it, when it is built or when it is validated.
+    if type(None) in typing.get_args(field.type):
+        cfg = build(cls, {key: "None"})
+        assert getattr(cfg, field.name) is None
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError):
+            build(cls, {key: "none"}).validate()
+
+    if base in (int, float):
+        with pytest.raises(ConfigError) as info:
+            build(cls, {key: "x1"})
+        assert str(info.value) == "%s: expected %s, got 'x1'" % (key, base.__name__)
+    elif base is Precision:
+        with pytest.raises(ConfigError) as info:
+            build(cls, {key: "x1"})
+        assert str(info.value) == "precision must be standard or checking, got 'x1'"
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +225,81 @@ def test_bad_config_setting_exits_nonzero(pipeline, capsys):
                      "--out", str(pipeline / "x.ckpt")])
     assert code == 1
     assert "setting" in capsys.readouterr().err
+
+
+def write_features_with_no_audio(path, t=4, d_v=4, c=2):
+    """A feature file whose header declares d_a = 0, which write_features
+    refuses to write."""
+    path.write_bytes(b"".join([
+        data.MAGIC, binio.pack_u16(data.VERSION, "version"),
+        *(binio.pack_u32(v, "dim") for v in (t, 0, d_v, c)),
+        np.zeros((t, d_v), "<f4").tobytes(), np.full(t, c, "<u2").tobytes()]))
+
+
+def user_error_argv(case, root):
+    """argv of a command that fails on user input, in `root`."""
+    manifest = str(root / "ds/manifest.txt")
+    train = ["train", "--manifest", manifest, "--epochs", "1",
+             "--out", str(root / "x.ckpt")]
+    cfg = root / "case.cfg"
+    if case == "synth_invalid":
+        cfg.write_text("num_events=0\n")
+        return ["synth", "--config", str(cfg), "--out", str(root / "s")]
+    if case == "synth_negative_seed":
+        cfg.write_text("seed=-1\n")
+        return ["synth", "--config", str(cfg), "--out", str(root / "s")]
+    if case == "train_negative_seed":
+        return train + ["--seed", "-1"]
+    if case == "gradcheck_negative_seed":
+        return ["gradcheck", "--seed", "-1"]
+    if case == "eval_class_count_mismatch":
+        wrong = model.init_model_params(5, 4, 3, 3, np.random.default_rng(0))
+        checkpoint.save_model(wrong, root / "c3.ckpt")
+        return ["eval", "--checkpoint", str(root / "c3.ckpt"),
+                "--manifest", manifest, "--split", "test"]
+    if case in ("manifest_zero_dim", "features_zero_dim"):
+        (root / "zero").mkdir(exist_ok=True)
+        write_features_with_no_audio(root / "zero/v.avsd")
+        d_a = 0 if case == "manifest_zero_dim" else 5
+        (root / "zero/manifest.txt").write_text(
+            "C=2\nd_a=%d\nd_v=4\nT=4\ncategories=a,b\nv\ttrain\tv.avsd\n" % d_a)
+        return ["train", "--manifest", str(root / "zero/manifest.txt"),
+                "--out", str(root / "x.ckpt")]
+    if case == "clip_norm_file":
+        cfg.write_text("clip_norm=-1\n")
+        return train + ["--config", str(cfg)]
+    if case == "clip_norm_flag":
+        return train + ["--clip-norm", "0"]
+    if case == "lr_flag_nan":
+        return train + ["--lr", "nan"]
+    if case == "aux_weight_file_inf":
+        cfg.write_text("aux_weight=inf\n")
+        return train + ["--config", str(cfg)]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case,names", [
+    ("synth_invalid", "num_events"), ("synth_negative_seed", "seed"),
+    ("train_negative_seed", "seed"), ("gradcheck_negative_seed", "seed"),
+    ("eval_class_count_mismatch", "C=3"), ("manifest_zero_dim", "d_a"),
+    ("features_zero_dim", "d_a"), ("clip_norm_file", "clip_norm"),
+    ("clip_norm_flag", "clip_norm"), ("lr_flag_nan", "learning rate"),
+    ("aux_weight_file_inf", "aux_weight")])
+def test_user_errors_exit_1_with_a_message(pipeline, capsys, case, names):
+    code = cli.main(user_error_argv(case, pipeline))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and names in err
+
+
+def test_a_value_error_from_the_program_is_not_a_user_error(pipeline, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(cli.trainer, "train", broken)
+    with pytest.raises(ValueError, match="a programming error"):
+        cli.main(["train", "--manifest", str(pipeline / "ds/manifest.txt"),
+                  "--out", str(pipeline / "x.ckpt")])
 
 
 def test_gradcheck_command_reports_pass(capsys):

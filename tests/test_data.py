@@ -45,6 +45,22 @@ def test_write_rejects_invalid_sequences(tmp_path):
     seq.labels[0] = seq.num_events + 1
     with pytest.raises(ValueError):
         data.write_features(seq, tmp_path / "bad.avsd")
+    for d_a, d_v in ((0, 4), (3, 0)):
+        with pytest.raises(ValueError, match="feature dims"):
+            data.write_features(make_seq(d_a=d_a, d_v=d_v), tmp_path / "bad.avsd")
+
+
+@pytest.mark.parametrize("d_a,d_v", [(0, 4), (3, 0)])
+def test_read_rejects_a_zero_feature_width(tmp_path, d_a, d_v):
+    seq = make_seq(t=2, d_a=d_a, d_v=d_v)
+    path = tmp_path / "x.avsd"
+    path.write_bytes(b"".join([
+        data.MAGIC, binio.pack_u16(data.VERSION, "version"),
+        *(binio.pack_u32(v, "dim") for v in (2, d_a, d_v, seq.num_events)),
+        seq.audio.astype("<f4").tobytes(), seq.visual.astype("<f4").tobytes(),
+        seq.labels.astype("<u2").tobytes()]))
+    with pytest.raises(binio.FormatError, match="feature dims"):
+        data.read_features(path)
 
 
 def test_read_rejects_bad_magic(tmp_path):
@@ -123,6 +139,19 @@ def test_manifest_round_trip(tmp_path):
     assert [e.video_id for e in back.split("train")] == ["a"]
     assert [e.video_id for e in back.split("val")] == ["b"]
     assert back.class_names() == ["bark", "siren", "background"]
+
+
+@pytest.mark.parametrize("key", ["audio_dim", "visual_dim"])
+def test_manifest_rejects_a_zero_feature_width(tmp_path, key):
+    manifest = make_manifest()
+    setattr(manifest, key, 0)
+    with pytest.raises(data.ManifestError, match="must be >= 1"):
+        data.write_manifest(manifest, tmp_path / "m.txt")
+    path = tmp_path / "m.txt"
+    path.write_text("C=2\nd_a=%d\nd_v=%d\nT=5\ncategories=bark,siren\n"
+                    % (manifest.audio_dim, manifest.visual_dim))
+    with pytest.raises(data.ManifestError, match="must be >= 1"):
+        data.read_manifest(path)
 
 
 def test_manifest_rejects_video_in_two_splits(tmp_path):
@@ -209,12 +238,14 @@ def test_frame_accuracy():
 
 
 def test_synth_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(data.ConfigError):
         data.SynthConfig(num_events=8, audio_dim=8, visual_dim=24).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(data.ConfigError):
         data.SynthConfig(background_overlap=1.5).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(data.ConfigError):
         data.SynthConfig(noise_sigma=-0.1).validate()
+    with pytest.raises(data.ConfigError, match="seed"):
+        data.SynthConfig(seed=-1).validate()
     data.SynthConfig().validate()
 
 

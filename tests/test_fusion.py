@@ -20,6 +20,13 @@ def test_mlp_forward_matches_scalar_reference():
     assert np.allclose(y, ref.mlp(p, x), atol=1e-14)
 
 
+def test_mlp_forward_rejects_an_input_of_the_wrong_width():
+    p = fusion.init_mlp_params(3, 5, 2, np.random.default_rng(0))
+    for x in (np.zeros(4), np.zeros(2), np.float64(1.0)):
+        with pytest.raises(ops.ShapeError):
+            fusion.mlp_forward(p, x)
+
+
 def test_mlp_backward_matches_finite_differences():
     rng = np.random.default_rng(1)
     p = fusion.init_mlp_params(4, 6, 3, rng)

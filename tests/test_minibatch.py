@@ -49,7 +49,7 @@ def test_minibatch_gradient_is_the_mean_of_per_video_gradients(
     weight = 0.7
 
     loss, grads, aux_grads = trainer._minibatch_grads(
-        params, seqs, targets, setting, dec_init, aux, weight, video_labels)
+        params, seqs, video_labels, setting, dec_init, aux, weight)
 
     want_loss = 0.0
     want = {}

@@ -22,21 +22,6 @@ def test_precision_dtypes():
     assert ops.Precision.CHECKING.dtype == np.float64
 
 
-def test_matvec_matches_manual_sum():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((3, 4))
-    x = rng.standard_normal(4)
-    want = [sum(m[i, j] * x[j] for j in range(4)) for i in range(3)]
-    assert np.allclose(ops.matvec(m, x), want, atol=1e-14)
-
-
-def test_matvec_shape_errors():
-    with pytest.raises(ops.ShapeError):
-        ops.matvec(np.zeros((2, 3)), np.zeros(4))
-    with pytest.raises(ops.ShapeError):
-        ops.matvec(np.zeros(3), np.zeros(3))
-
-
 def test_sigmoid_values_and_range():
     assert ops.sigmoid(np.array([0.0]))[0] == 0.5
     x = np.linspace(-40, 40, 201)
@@ -103,7 +88,7 @@ def test_tanh_grad_matches_finite_differences():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(11)
     gout = rng.standard_normal(11)
-    grad = ops.tanh_grad(ops.tanh(x), gout)
+    grad = ops.tanh_grad(np.tanh(x), gout)
     num = finite_diff(lambda xx: float(gout @ np.tanh(xx)), x)
     assert np.allclose(grad, num, atol=1e-8)
 

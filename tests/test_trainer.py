@@ -24,9 +24,14 @@ def quick_cfg(**kw):
 
 def test_config_validation():
     for bad in (dict(epochs=0), dict(lr=0.0), dict(lr=-1.0),
+                dict(lr=float("nan")), dict(lr=float("inf")),
                 dict(setting="semi"), dict(init_mode="magic"),
                 dict(batch_size=0), dict(hidden_size=0),
-                dict(patience=0), dict(aux_weight=-0.5)):
+                dict(patience=0), dict(aux_weight=-0.5),
+                dict(aux_weight=float("nan")), dict(aux_weight=float("inf")),
+                dict(clip_norm=0.0), dict(clip_norm=-1.0),
+                dict(clip_norm=float("nan")), dict(clip_norm=float("inf")),
+                dict(seed=-1)):
         with pytest.raises(trainer.ConfigError):
             quick_cfg(**bad).validate()
     quick_cfg().validate()
@@ -131,10 +136,10 @@ def test_eval_matches_train_time_accuracy_through_checkpoint(dataset, tmp_path):
 
 def test_evaluate_rejects_dim_mismatch(dataset):
     wrong = model.init_model_params(7, 5, 4, 2, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(data.ManifestError, match="checkpoint dims"):
         trainer.evaluate(wrong, dataset, "val")
     wrong_c = model.init_model_params(6, 5, 4, 3, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(data.ManifestError, match="checkpoint has C=3"):
         trainer.evaluate(wrong_c, dataset, "val")
 
 
@@ -257,8 +262,7 @@ def test_adam_over_packed_arrays_is_bitwise_adam_over_per_gate_views():
             rng.integers(0, 4, size=6), 3)
         label = seq.video_label().astype(np.float32)
         _, grads, aux_grads = trainer._minibatch_grads(
-            packed, [seq], [label], "weak", DecoderInit.SUM, packed_aux, 1.0,
-            [label])
+            packed, [seq], [label], "weak", DecoderInit.SUM, packed_aux, 1.0)
         trainer.optim.adam_step(opt_packed, {name: arr.copy() for name, arr in
                                              (*grads.arrays(), *aux_grads.arrays())},
                                 state_packed, cfg)
