@@ -121,7 +121,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", required=True, choices=data.SPLITS)
-    p.add_argument("--init", choices=sorted(INIT_MODES), default="fusion",
+    # A v1 checkpoint does not record its init mode, so eval cannot infer it.
+    p.add_argument("--init", choices=sorted(INIT_MODES), required=True,
                    help="decoder-init mode the checkpoint was trained with")
     p.add_argument("--precision", type=_precision, default=Precision.STANDARD,
                    help="evaluate in standard (f32) or checking (f64) precision")

@@ -16,6 +16,7 @@ train, val or test and path is resolved relative to the manifest's
 directory.
 """
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -291,6 +292,14 @@ class SynthConfig:
     def validate(self):
         if self.num_events < 1:
             raise ConfigError("num_events must be >= 1")
+        for name in ("noise_sigma", "prototype_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError("%s must be finite, got %r"
+                                  % (name, getattr(self, name)))
+        for name in ("train_videos", "val_videos", "test_videos"):
+            if getattr(self, name) < 0:
+                raise ConfigError("%s must be >= 0, got %d"
+                                  % (name, getattr(self, name)))
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be >= 0")
         if not 0.0 <= self.background_overlap <= 1.0:

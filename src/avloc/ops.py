@@ -1,10 +1,12 @@
-"""Dense vector/matrix kernels with paired forward and backward ops.
+"""Precisions, the shape error, and the backward kernels of the model's
+nonlinearities: sigmoid and tanh given their cached outputs, and softmax
+with its backward.
 
-A "vector" is a 1-D numpy array, a "matrix" a 2-D row-major numpy array.
 Two precisions are supported: standard (float32) for training and
 checking (float64) for finite-difference gradient verification.  No
-function here mutates its inputs; `sigmoid` can write its result into a
-given output array.
+function here mutates its inputs.  The sigmoid itself has no function
+here: `lstm.run_lstm` computes it inside its step loop, as direct ufunc
+calls into preallocated rows.
 """
 
 import enum
@@ -32,19 +34,6 @@ class ShapeError(ValueError):
         )
         self.op = op
         self.shapes = shapes
-
-
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function as 0.5 tanh(x / 2) + 0.5, written into `out` when
-    given.  tanh saturates instead of overflowing, so no input needs a
-    branch: +-inf give exactly 1 and 0, NaN stays NaN, and no
-    floating-point warning is raised.  The result is within one machine
-    epsilon of the piecewise 1 / (1 + e^-x), e^x / (1 + e^x) form."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
-    return out
 
 
 def sigmoid_grad(out: np.ndarray, gout: np.ndarray) -> np.ndarray:

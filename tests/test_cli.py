@@ -194,7 +194,7 @@ def test_repeat_training_is_byte_identical(pipeline):
 def test_eval_prints_accuracy_and_per_class_table(pipeline, capsys):
     assert cli.main(["eval", "--checkpoint", str(pipeline / "model.ckpt"),
                      "--manifest", str(pipeline / "ds/manifest.txt"),
-                     "--split", "test"]) == 0
+                     "--split", "test", "--init", "fusion"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert re.match(r"accuracy \d\.\d{4} over \d+ segments", out[0])
     assert len(out) == 4  # overall + two events + background
@@ -204,7 +204,7 @@ def test_eval_prints_accuracy_and_per_class_table(pipeline, capsys):
 def test_eval_errors_exit_nonzero(pipeline, capsys):
     code = cli.main(["eval", "--checkpoint", str(pipeline / "missing.ckpt"),
                      "--manifest", str(pipeline / "ds/manifest.txt"),
-                     "--split", "test"])
+                     "--split", "test", "--init", "fusion"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
 
@@ -212,9 +212,31 @@ def test_eval_errors_exit_nonzero(pipeline, capsys):
     checkpoint.save_model(wrong, pipeline / "wrong.ckpt")
     code = cli.main(["eval", "--checkpoint", str(pipeline / "wrong.ckpt"),
                      "--manifest", str(pipeline / "ds/manifest.txt"),
-                     "--split", "test"])
+                     "--split", "test", "--init", "fusion"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_without_init_exits_2(pipeline, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--checkpoint", str(pipeline / "model.ckpt"),
+                  "--manifest", str(pipeline / "ds/manifest.txt"),
+                  "--split", "test"])
+    assert exc.value.code == 2
+    assert "--init" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,name", [
+    ("noise_sigma=nan", "noise_sigma"), ("prototype_scale=inf", "prototype_scale"),
+    ("train_videos=-3", "train_videos")])
+def test_synth_rejects_a_config_it_cannot_honour(tmp_path, capsys, line, name):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert not out.exists()
 
 
 def test_bad_config_setting_exits_nonzero(pipeline, capsys):
@@ -256,7 +278,7 @@ def user_error_argv(case, root):
         wrong = model.init_model_params(5, 4, 3, 3, np.random.default_rng(0))
         checkpoint.save_model(wrong, root / "c3.ckpt")
         return ["eval", "--checkpoint", str(root / "c3.ckpt"),
-                "--manifest", manifest, "--split", "test"]
+                "--manifest", manifest, "--split", "test", "--init", "fusion"]
     if case in ("manifest_zero_dim", "features_zero_dim"):
         (root / "zero").mkdir(exist_ok=True)
         write_features_with_no_audio(root / "zero/v.avsd")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,13 @@ def test_synth_config_validation():
         data.SynthConfig(noise_sigma=-0.1).validate()
     with pytest.raises(data.ConfigError, match="seed"):
         data.SynthConfig(seed=-1).validate()
+    for name, value in [("noise_sigma", math.nan), ("noise_sigma", math.inf),
+                        ("prototype_scale", math.nan),
+                        ("prototype_scale", -math.inf), ("train_videos", -3),
+                        ("val_videos", -1), ("test_videos", -1)]:
+        with pytest.raises(data.ConfigError, match=name):
+            data.SynthConfig(**{name: value}).validate()
+    data.SynthConfig(train_videos=0, val_videos=0, test_videos=0).validate()
     data.SynthConfig().validate()
 
 

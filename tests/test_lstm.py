@@ -184,6 +184,108 @@ def _masked_sigmoid(x):
     return out
 
 
+def _identity_lstm(h, dtype):
+    """W four stacked identities, U and b zero: from the zero state, a
+    step's pre-activations of every gate are its input."""
+    return lstm.LstmParams(np.tile(np.eye(h, dtype=dtype), (4, 1)),
+                           np.zeros((4 * h, h), dtype), np.zeros(4 * h, dtype))
+
+
+def _one_step_gates(x, width):
+    """The f, i and o gates, each shaped like x, of one-step LSTMs from the
+    zero state whose pre-activations are the values of x, `width` at a
+    time (the last LSTM's input padded with zeros)."""
+    rows = np.concatenate([x, np.zeros(-x.size % width, x.dtype)]).reshape(-1, width)
+    p = _identity_lstm(width, x.dtype)
+    traces = [lstm.run_lstm(p, row[None, :])[1] for row in rows]
+    return [np.concatenate([getattr(t, gate)[0] for t in traces])[:x.size]
+            for gate in ("f", "i", "o")]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_gates_are_within_one_eps_of_the_masked_form(dtype):
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        88.7, -88.7, 1e4, -1e4], dtype=dtype)
+    spread = np.random.default_rng(6).standard_normal(1000) * 30.0
+    grid = np.linspace(-50.0, 50.0, 200_001)
+    finite = np.concatenate([spread, grid]).astype(dtype)
+    with np.errstate(all="raise"):
+        # A weight product with an infinite or NaN input spreads NaN over
+        # its whole row, so those values each get an LSTM of size 1.
+        gates = [np.concatenate(pair) for pair in
+                 zip(_one_step_gates(special, 1), _one_step_gates(finite, 512))]
+    x = np.concatenate([special, finite])
+    want = _masked_sigmoid(x)
+    ok = ~np.isnan(want)
+    for got in gates:
+        assert got.dtype == dtype
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.abs(got[ok] - want[ok]).max() <= np.finfo(dtype).eps
+        assert np.all((got[ok] >= 0.0) & (got[ok] <= 1.0))
+        # 0 and -0 give exactly one half; +inf, -inf, 1e4, -1e4 saturate
+        assert got[[0, 1, 2, 3, 8, 9]].tolist() == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0]
+
+
+def _plain_lstm(p, xs, h0, c0, dh_steps, dh_final, dc_final):
+    """Forward and BPTT as plain numpy expressions, one new array per
+    operation: the arithmetic of `run_lstm` and `lstm_sequence_backward`
+    in the same order, without their output buffers.  Returns the trace's
+    arrays (gates, hs, cs, tanh_c) and the backward's (dZ, dh0, dc0)."""
+    h = p.hidden_size
+    zx = xs @ p.w.T + p.b
+    gates, hs, cs, tanh_cs = [], [h0], [c0], []
+    for zx_t in zx:
+        z = zx_t + p.u @ hs[-1]
+        sig = 0.5 * np.tanh(0.5 * z[:3 * h]) + 0.5
+        g = np.tanh(z[3 * h:])
+        c = sig[:h] * cs[-1] + sig[h:2 * h] * g
+        tanh_c = np.tanh(c)
+        gates.append(np.concatenate((sig, g)))
+        hs.append(sig[2 * h:] * tanh_c)
+        cs.append(c)
+        tanh_cs.append(tanh_c)
+    gates, hs, cs, tanh_cs = (np.stack(a) for a in (gates, hs, cs, tanh_cs))
+    f, i, o, g = (gates[:, k * h:(k + 1) * h] for k in range(4))
+    local = np.concatenate((cs[:-1], g, tanh_cs), axis=1)
+    sig = gates[:, :3 * h]
+    coef = np.concatenate((local * sig * (1.0 - sig), i * (1.0 - g * g)), axis=1)
+    k = o * (1.0 - tanh_cs * tanh_cs)
+    dz_all = np.empty_like(gates)
+    dh_next = np.zeros(h, gates.dtype) + dh_final
+    dc_next = np.zeros(h, gates.dtype) + dc_final
+    for t in range(len(xs) - 1, -1, -1):
+        dh = dh_next if dh_steps is None else dh_next + dh_steps[t]
+        dc = dh * k[t] + dc_next
+        dz_all[t] = coef[t] * np.concatenate((dc, dc, dh, dc))
+        dh_next = p.u.T @ dz_all[t]
+        dc_next = dc * f[t]
+    return (gates, hs, cs, tanh_cs), (dz_all, dh_next, dc_next)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d,h", [(16, 32), (40, 32), (640, 128)])
+def test_unroll_and_bptt_are_bitwise_the_plain_expressions(d, h, dtype):
+    steps = 10
+    rng = np.random.default_rng(d + h)
+    p = lstm.init_lstm_params(d, h, rng, dtype)
+    xs = rng.standard_normal((steps, d)).astype(dtype)
+    h0, c0, dh_final, dc_final = (rng.standard_normal(h).astype(dtype)
+                                  for _ in range(4))
+    for dh_steps in (rng.standard_normal((steps, h)).astype(dtype), None):
+        want_trace, want_back = _plain_lstm(p, xs, h0, c0, dh_steps,
+                                            dh_final, dc_final)
+        state, trace = lstm.run_lstm(p, xs, init=lstm.LstmState(h0, c0))
+        got_trace = (trace.gates, trace.hs, trace.cs, trace.tanh_c)
+        for got, want in zip(got_trace + (state.h, state.c),
+                             want_trace + (want_trace[1][-1], want_trace[2][-1])):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        grads, dh0, dc0 = lstm.lstm_sequence_backward(
+            p, trace, dh_steps=dh_steps, dh_final=dh_final, dc_final=dc_final)
+        assert grads.u.x.tobytes() == want_trace[1][:-1].tobytes()
+        for got, want in zip((grads.w.g, dh0, dc0), want_back):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def _per_gate_lstm(p, xs, h0, c0, dh_steps, dh_final, dc_final):
     """The unpacked algorithm: two matvecs per gate per step forward, and
     per gate one outer product each into dW and dU backward.  Weights are
