@@ -8,8 +8,7 @@ from .data import (DatasetManifest, FeatureSequence, SynthConfig,
                    read_manifest, write_features, write_manifest)
 from .gradcheck import run_gradcheck
 from .model import (DecoderInit, ModelParams, forward, init_model_params,
-                    predict_segments, supervised_loss, video_label_from_segments,
-                    weak_loss)
+                    predict_segments, video_label_from_segments)
 from .ops import Precision
 from .trainer import EvalReport, TrainConfig, TrainResult, evaluate, train
 
@@ -18,7 +17,6 @@ __all__ = [
     "ModelParams", "Precision", "SynthConfig", "TrainConfig", "TrainResult",
     "evaluate", "forward", "frame_accuracy", "generate_synthetic",
     "init_model_params", "load_model", "predict_segments", "read_features",
-    "read_manifest", "run_gradcheck", "save_model", "supervised_loss",
-    "train", "video_label_from_segments", "weak_loss", "write_features",
-    "write_manifest",
+    "read_manifest", "run_gradcheck", "save_model", "train",
+    "video_label_from_segments", "write_features", "write_manifest",
 ]

@@ -160,6 +160,8 @@ class DatasetManifest:
         if self.audio_dim < 1 or self.visual_dim < 1:
             raise ManifestError("d_a and d_v must be >= 1, got d_a=%d d_v=%d"
                                 % (self.audio_dim, self.visual_dim))
+        if self.num_segments < 1:
+            raise ManifestError("T must be >= 1, got %d" % self.num_segments)
         if len(self.categories) != self.num_events:
             raise ManifestError("expected %d category names, got %d"
                                 % (self.num_events, len(self.categories)))
@@ -285,23 +287,22 @@ class SynthConfig:
     val_videos: int = 50
     test_videos: int = 50
     noise_sigma: float = 0.5
-    prototype_scale: float = 1.0
     background_overlap: float = 0.0  # chance a modality drops the event
     seed: int = 0
 
     def validate(self):
         if self.num_events < 1:
             raise ConfigError("num_events must be >= 1")
-        for name in ("noise_sigma", "prototype_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError("%s must be finite, got %r"
-                                  % (name, getattr(self, name)))
+        if self.num_events > binio.U16_MAX:  # labels are stored as u16
+            raise ConfigError("num_events must be <= %d, got %d"
+                              % (binio.U16_MAX, self.num_events))
         for name in ("train_videos", "val_videos", "test_videos"):
             if getattr(self, name) < 0:
                 raise ConfigError("%s must be >= 0, got %d"
                                   % (name, getattr(self, name)))
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ConfigError("noise_sigma must be finite and >= 0, got %r"
+                              % self.noise_sigma)
         if not 0.0 <= self.background_overlap <= 1.0:
             raise ConfigError("background_overlap must lie in [0, 1]")
         if self.num_segments < 1:
@@ -316,11 +317,10 @@ class SynthConfig:
                 % (self.num_events + 1, limit))
 
 
-def _prototypes(rng: np.random.Generator, count: int, dim: int,
-                scale: float) -> np.ndarray:
-    """`count` orthonormal rows in `dim` dimensions, scaled."""
+def _prototypes(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` orthonormal rows in `dim` dimensions."""
     q, _ = np.linalg.qr(rng.normal(size=(dim, count)))
-    return (q.T * scale).astype(np.float64)
+    return q.T.astype(np.float64)
 
 
 def _synth_video(rng: np.random.Generator, cfg: SynthConfig,
@@ -367,10 +367,8 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> DatasetManifest:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
-    protos_a = _prototypes(rng, cfg.num_events + 1, cfg.audio_dim,
-                           cfg.prototype_scale)
-    protos_v = _prototypes(rng, cfg.num_events + 1, cfg.visual_dim,
-                           cfg.prototype_scale)
+    protos_a = _prototypes(rng, cfg.num_events + 1, cfg.audio_dim)
+    protos_v = _prototypes(rng, cfg.num_events + 1, cfg.visual_dim)
     manifest = DatasetManifest(
         num_events=cfg.num_events,
         categories=["event_%d" % k for k in range(cfg.num_events)],

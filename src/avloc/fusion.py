@@ -35,10 +35,6 @@ class MlpParams(ParamTree):
     w2: np.ndarray
     b2: np.ndarray
 
-    @property
-    def output_size(self) -> int:
-        return self.w2.shape[0]
-
 
 @dataclass
 class MlpTrace:
@@ -69,8 +65,8 @@ def mlp_backward(params: MlpParams, trace: MlpTrace, gout: np.ndarray):
     """Backward through one application of the MLP (x, hidden and gout
     vectors) or through n of them (each stacked as (n, .) rows).  Returns
     (param grads as an MlpParams of `Rows`, grad wrt x shaped like x)."""
-    if gout.shape[-1] != params.output_size:
-        raise ShapeError("mlp_backward", (params.output_size,), gout.shape)
+    if gout.shape[-1] != params.w2.shape[0]:
+        raise ShapeError("mlp_backward", params.w2.shape[:1], gout.shape)
     x, hidden, gout = (np.atleast_2d(a) for a in (trace.x, trace.hidden, gout))
     dz1 = ops.tanh_grad(hidden, gout @ params.w2)
     dx = dz1 @ params.w1

@@ -138,40 +138,8 @@ class LstmTrace:
     tanh_c: np.ndarray
 
     @property
-    def h0(self) -> np.ndarray:
-        return self.hs[0]
-
-    @property
-    def c0(self) -> np.ndarray:
-        return self.cs[0]
-
-    @property
     def h(self) -> np.ndarray:
         return self.hs[1:]
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.cs[1:]
-
-    def _gate(self, k: int) -> np.ndarray:
-        size = self.tanh_c.shape[1]
-        return self.gates[:, k * size:(k + 1) * size]
-
-    @property
-    def f(self) -> np.ndarray:
-        return self._gate(0)
-
-    @property
-    def i(self) -> np.ndarray:
-        return self._gate(1)
-
-    @property
-    def o(self) -> np.ndarray:
-        return self._gate(2)
-
-    @property
-    def g(self) -> np.ndarray:
-        return self._gate(3)
 
 
 def _glorot(rng: np.random.Generator | None, rows: int, cols: int,
@@ -184,8 +152,8 @@ def _glorot(rng: np.random.Generator | None, rows: int, cols: int,
 
 
 def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator,
-                     dtype=np.float64, forget_bias: float = 1.0) -> LstmParams:
-    """Glorot-uniform weights, zero biases except the forget bias.
+                     dtype=np.float64) -> LstmParams:
+    """Glorot-uniform weights, zero biases except the forget bias, 1.
 
     RNG draw order is fixed (Wf, Uf, Wi, Ui, Wo, Uo, Wc, Uc) so a seeded
     generator reproduces the same parameters.  With rng=None nothing is
@@ -198,7 +166,7 @@ def init_lstm_params(input_size: int, hidden_size: int, rng: np.random.Generator
     w = np.zeros((4 * h, d), dtype=dtype)
     u = np.zeros((4 * h, h), dtype=dtype)
     b = np.zeros(4 * h, dtype=dtype)
-    b[:h] = forget_bias
+    b[:h] = 1.0
     if rng is not None:
         for k in range(len(GATES)):
             w[k * h:(k + 1) * h] = _glorot(rng, h, d, dtype)

@@ -114,14 +114,6 @@ class PredictionTrace:
         return self.logits.shape[0]
 
 
-def average_pool(logits: np.ndarray) -> np.ndarray:
-    """Elementwise mean of the per-segment logits, (T, K) -> (K,)."""
-    if logits.ndim != 2 or logits.shape[0] == 0:
-        raise ValueError("average_pool: need a non-empty (T, K) array, got %s"
-                         % (logits.shape,))
-    return logits.mean(axis=0)
-
-
 def project_inputs(params: ModelParams, audios: list, visuals: list) -> list:
     """Input projections of the audio encoder, the visual encoder and the
     decoder for a list of videos, each LSTM's in one matrix product over the
@@ -172,7 +164,7 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
 
     logits = dec_trace.h @ params.out_w.T + params.out_b
     probs = ops.softmax(logits)
-    pooled = average_pool(logits)
+    pooled = logits.mean(axis=0)
     return PredictionTrace(
         params=params, init_mode=init_mode,
         audio_trace=a_trace, visual_trace=v_trace,
@@ -314,16 +306,3 @@ def weak_objective(trace: PredictionTrace, video_label: np.ndarray):
     dlogits = np.broadcast_to(dpooled / steps, trace.logits.shape).copy()
     return loss, dlogits.astype(trace.logits.dtype)
 
-
-def supervised_loss(trace: PredictionTrace, labels: np.ndarray):
-    """Segment-level cross-entropy and its full parameter gradient bundle."""
-    loss, dlogits = supervised_objective(trace, labels)
-    grads, _ = model_backward(trace, dlogits)
-    return loss, grads
-
-
-def weak_loss(trace: PredictionTrace, video_label: np.ndarray):
-    """Pooled-BCE loss and its full parameter gradient bundle."""
-    loss, dlogits = weak_objective(trace, video_label)
-    grads, _ = model_backward(trace, dlogits)
-    return loss, grads

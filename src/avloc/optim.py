@@ -21,13 +21,9 @@ class NanGradError(RuntimeError):
         self.tensor = tensor
 
 
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float | None = 5.0
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -52,19 +48,15 @@ class AdamState:
         return state
 
 
-def global_grad_norm(grads: dict) -> float:
-    total = 0.0
-    for arr in grads.values():
-        total += float(np.dot(arr.ravel(), arr.ravel()))
-    return math.sqrt(total)
-
-
 def clip_grads(grads: dict, clip_norm: float) -> float:
     """Scale all gradients in place so their global norm is <= clip_norm.
 
     Returns the pre-clip norm.
     """
-    norm = global_grad_norm(grads)
+    total = 0.0
+    for arr in grads.values():
+        total += float(np.dot(arr.ravel(), arr.ravel()))
+    norm = math.sqrt(total)
     if norm > clip_norm:
         scale = clip_norm / norm
         for arr in grads.values():
@@ -72,19 +64,20 @@ def clip_grads(grads: dict, clip_norm: float) -> float:
     return norm
 
 
-def adam_step(params: dict, grads: dict, state: AdamState,
-              cfg: AdamConfig) -> None:
-    """One Adam update, in place on the parameter arrays."""
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
+              clip_norm: float | None) -> None:
+    """One Adam update, in place on the parameter arrays; the gradients are
+    first clipped to global norm clip_norm unless it is None."""
     if params.keys() != grads.keys():
         raise KeyError("parameter/gradient name mismatch")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NanGradError(name)
-    if cfg.clip_norm is not None:
-        clip_grads(grads, cfg.clip_norm)
+    if clip_norm is not None:
+        clip_grads(grads, clip_norm)
     state.step += 1
-    bc1 = 1.0 - cfg.beta1 ** state.step
-    bc2 = 1.0 - cfg.beta2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
@@ -92,17 +85,17 @@ def adam_step(params: dict, grads: dict, state: AdamState,
         a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch[p.dtype])
         # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), operation for operation
         # in that order, so the bits are those of the expression.
-        m *= cfg.beta1
-        np.multiply(g, 1.0 - cfg.beta1, out=a)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=a)
         m += a
-        v *= cfg.beta2
-        np.multiply(g, 1.0 - cfg.beta2, out=a)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=a)
         a *= g
         v += a
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
-        a += cfg.eps
+        a += EPS
         np.divide(m, bc1, out=b)
-        b *= cfg.lr
+        b *= lr
         b /= a
         p -= b

@@ -91,9 +91,6 @@ class TrainConfig:
                               % self.aux_weight)
         return self
 
-    def adam(self) -> optim.AdamConfig:
-        return optim.AdamConfig(lr=self.lr, clip_norm=self.clip_norm)
-
 
 # ---------------------------------------------------------------------------
 # label-guided auxiliary heads
@@ -197,7 +194,6 @@ def evaluate_params(params: ModelParams, sequences: list, class_names: list,
 
 def evaluate(params: ModelParams, manifest: DatasetManifest, split: str,
              init_mode: DecoderInit = DecoderInit.FUSION) -> EvalReport:
-    sequences = data_mod.load_split(manifest, split)
     if params.audio_dim != manifest.audio_dim or params.visual_dim != manifest.visual_dim:
         raise data_mod.ManifestError(
             "checkpoint dims (d_a=%d, d_v=%d) do not match manifest (d_a=%d, d_v=%d)"
@@ -206,6 +202,9 @@ def evaluate(params: ModelParams, manifest: DatasetManifest, split: str,
     if params.num_events != manifest.num_events:
         raise data_mod.ManifestError("checkpoint has C=%d events, manifest has C=%d"
                                      % (params.num_events, manifest.num_events))
+    sequences = data_mod.load_split(manifest, split)
+    if not sequences:
+        raise data_mod.ManifestError("split %r has no videos" % split)
     return evaluate_params(params, sequences, manifest.class_names(), init_mode)
 
 
@@ -304,7 +303,6 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
     if aux is not None:
         opt_params.update(aux.arrays())
     opt_state = optim.AdamState.for_params(opt_params)
-    adam_cfg = cfg.adam()
 
     result = TrainResult(params=params, config=cfg)
     best_params = None
@@ -324,7 +322,7 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
             dense = dict(grads.arrays())
             if aux_grads is not None:
                 dense.update(aux_grads.arrays())
-            optim.adam_step(opt_params, dense, opt_state, adam_cfg)
+            optim.adam_step(opt_params, dense, opt_state, cfg.lr, cfg.clip_norm)
         epoch_loss /= len(train_seqs)
         if not math.isfinite(epoch_loss):
             raise FloatingPointError("training loss went non-finite at epoch %d"

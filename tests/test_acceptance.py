@@ -125,9 +125,9 @@ def _state_bounds_hold():
     rng = np.random.default_rng(0)
     params = lstm.init_lstm_params(6, 8, rng)
     _, trace = lstm.run_lstm(params, rng.standard_normal((30, 6)) * 4.0)
+    sig = trace.gates[:, :3 * params.hidden_size]  # the f, i and o gates
     return (np.all(trace.h > -1.0) and np.all(trace.h < 1.0)
-            and all(np.all(g > 0.0) and np.all(g < 1.0)
-                    for g in (trace.f, trace.i, trace.o)))
+            and np.all(sig > 0.0) and np.all(sig < 1.0))
 
 
 def _softmax_invariants_hold():

@@ -227,8 +227,7 @@ def test_eval_without_init_exits_2(pipeline, capsys):
 
 
 @pytest.mark.parametrize("line,name", [
-    ("noise_sigma=nan", "noise_sigma"), ("prototype_scale=inf", "prototype_scale"),
-    ("train_videos=-3", "train_videos")])
+    ("noise_sigma=nan", "noise_sigma"), ("train_videos=-3", "train_videos")])
 def test_synth_rejects_a_config_it_cannot_honour(tmp_path, capsys, line, name):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -287,6 +286,15 @@ def user_error_argv(case, root):
             "C=2\nd_a=%d\nd_v=4\nT=4\ncategories=a,b\nv\ttrain\tv.avsd\n" % d_a)
         return ["train", "--manifest", str(root / "zero/manifest.txt"),
                 "--out", str(root / "x.ckpt")]
+    if case == "eval_empty_split":
+        # the pipeline's data set without its test videos
+        text = (root / "ds/manifest.txt").read_text()
+        kept = [line for line in text.splitlines(keepends=True)
+                if "\ttest\t" not in line]
+        (root / "ds/no_test.txt").write_text("".join(kept))
+        return ["eval", "--checkpoint", str(root / "model.ckpt"),
+                "--manifest", str(root / "ds/no_test.txt"), "--split", "test",
+                "--init", "fusion"]
     if case == "clip_norm_file":
         cfg.write_text("clip_norm=-1\n")
         return train + ["--config", str(cfg)]
@@ -303,10 +311,10 @@ def user_error_argv(case, root):
 @pytest.mark.parametrize("case,names", [
     ("synth_invalid", "num_events"), ("synth_negative_seed", "seed"),
     ("train_negative_seed", "seed"), ("gradcheck_negative_seed", "seed"),
-    ("eval_class_count_mismatch", "C=3"), ("manifest_zero_dim", "d_a"),
-    ("features_zero_dim", "d_a"), ("clip_norm_file", "clip_norm"),
-    ("clip_norm_flag", "clip_norm"), ("lr_flag_nan", "learning rate"),
-    ("aux_weight_file_inf", "aux_weight")])
+    ("eval_class_count_mismatch", "C=3"), ("eval_empty_split", "'test'"),
+    ("manifest_zero_dim", "d_a"), ("features_zero_dim", "d_a"),
+    ("clip_norm_file", "clip_norm"), ("clip_norm_flag", "clip_norm"),
+    ("lr_flag_nan", "learning rate"), ("aux_weight_file_inf", "aux_weight")])
 def test_user_errors_exit_1_with_a_message(pipeline, capsys, case, names):
     code = cli.main(user_error_argv(case, pipeline))
     err = capsys.readouterr().err

@@ -156,6 +156,18 @@ def test_manifest_rejects_a_zero_feature_width(tmp_path, key):
         data.read_manifest(path)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_manifest_rejects_a_segment_count_below_one(tmp_path, steps):
+    manifest = make_manifest()
+    manifest.num_segments = steps
+    with pytest.raises(data.ManifestError, match="T must be >= 1"):
+        data.write_manifest(manifest, tmp_path / "m.txt")
+    path = tmp_path / "m.txt"
+    path.write_text("C=2\nd_a=3\nd_v=4\nT=%d\ncategories=bark,siren\n" % steps)
+    with pytest.raises(data.ManifestError, match="T must be >= 1"):
+        data.read_manifest(path)
+
+
 def test_manifest_rejects_video_in_two_splits(tmp_path):
     manifest = make_manifest()
     manifest.entries.append(data.ManifestEntry("a", "test", "a2.avsd"))
@@ -249,13 +261,21 @@ def test_synth_config_validation():
     with pytest.raises(data.ConfigError, match="seed"):
         data.SynthConfig(seed=-1).validate()
     for name, value in [("noise_sigma", math.nan), ("noise_sigma", math.inf),
-                        ("prototype_scale", math.nan),
-                        ("prototype_scale", -math.inf), ("train_videos", -3),
+                        ("noise_sigma", -math.inf), ("train_videos", -3),
                         ("val_videos", -1), ("test_videos", -1)]:
         with pytest.raises(data.ConfigError, match=name):
             data.SynthConfig(**{name: value}).validate()
     data.SynthConfig(train_videos=0, val_videos=0, test_videos=0).validate()
     data.SynthConfig().validate()
+
+
+def test_synth_config_rejects_more_classes_than_u16_labels_hold():
+    """Only the validator runs: generating data at this size would first
+    draw a QR of a 65537 x 65537 matrix."""
+    wide = dict(audio_dim=binio.U16_MAX + 2, visual_dim=binio.U16_MAX + 2)
+    with pytest.raises(data.ConfigError, match="num_events must be <= 65535"):
+        data.SynthConfig(num_events=binio.U16_MAX + 1, **wide).validate()
+    data.SynthConfig(num_events=binio.U16_MAX, **wide).validate()
 
 
 def small_cfg(**kw):

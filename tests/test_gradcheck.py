@@ -68,7 +68,8 @@ def test_all_zero_parameters_are_degenerate_but_safe():
     visual = rng.uniform(-1, 1, size=(3, 4))
     labels = np.array([0, 2, 1])
     trace = model.forward(params, audio, visual)
-    _, grads = model.supervised_loss(trace, labels)
+    _, dlogits = model.supervised_objective(trace, labels)
+    grads, _ = model.model_backward(trace, dlogits)
     tensors = dict(params.tensors())
 
     def value():

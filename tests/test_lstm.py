@@ -66,18 +66,19 @@ def test_gate_and_hidden_ranges():
     p = make_params(seed=2, d=6, h=8)
     xs = rng.standard_normal((25, 6)) * 5.0
     state, trace = lstm.run_lstm(p, xs)
-    for gate in (trace.f, trace.i, trace.o):
-        assert np.all(gate > 0.0) and np.all(gate < 1.0)
+    h = p.hidden_size
+    sig, g = trace.gates[:, :3 * h], trace.gates[:, 3 * h:]  # f, i, o; g
+    assert np.all(sig > 0.0) and np.all(sig < 1.0)
     assert np.all(trace.h > -1.0) and np.all(trace.h < 1.0)
-    assert np.all(np.abs(trace.g) < 1.0)
-    assert np.all(np.isfinite(trace.c))
+    assert np.all(np.abs(g) < 1.0)
+    assert np.all(np.isfinite(trace.cs))
 
 
 def test_encoder_starts_from_zero_state():
     p = make_params(seed=4)
     xs = np.random.default_rng(4).standard_normal((3, 3))
     state, trace = lstm.run_lstm(p, xs)
-    assert not trace.h0.any() and not trace.c0.any()
+    assert not trace.hs[0].any() and not trace.cs[0].any()
     explicit, _ = lstm.run_lstm(p, xs, init=lstm.LstmState(np.zeros(4), np.zeros(4)))
     assert np.array_equal(state.h, explicit.h)
 
@@ -198,8 +199,9 @@ def _one_step_gates(x, width):
     rows = np.concatenate([x, np.zeros(-x.size % width, x.dtype)]).reshape(-1, width)
     p = _identity_lstm(width, x.dtype)
     traces = [lstm.run_lstm(p, row[None, :])[1] for row in rows]
-    return [np.concatenate([getattr(t, gate)[0] for t in traces])[:x.size]
-            for gate in ("f", "i", "o")]
+    return [np.concatenate([t.gates[0, k * width:(k + 1) * width]
+                            for t in traces])[:x.size]
+            for k in range(3)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -358,8 +360,10 @@ def test_packed_lstm_is_bitwise_the_per_gate_algorithm(d, h):
                 p, xs, h0, c0, np.zeros((steps, h), dtype) if dh_steps is None
                 else dh_steps, dh_final, dc_final)
             state, trace = lstm.run_lstm(p, xs, init=lstm.LstmState(h0, c0))
+            got_trace = dict(zip(rec, np.split(trace.gates, 4, axis=1)
+                                 + [trace.cs[1:], trace.tanh_c, trace.h]))
             for key, arr in rec.items():
-                assert _relative_error(getattr(trace, key), arr) <= rtol, key
+                assert _relative_error(got_trace[key], arr) <= rtol, key
             assert _relative_error(state.h, h_last) <= rtol
             assert _relative_error(state.c, c_last) <= rtol
             grads, dh0, dc0 = lstm.lstm_sequence_backward(

@@ -143,6 +143,16 @@ def test_evaluate_rejects_dim_mismatch(dataset):
         trainer.evaluate(wrong_c, dataset, "val")
 
 
+def test_evaluate_checks_dims_before_reading_features(dataset, monkeypatch):
+    reads = []
+    monkeypatch.setattr(data, "read_features", lambda path: reads.append(path))
+    for wrong in (model.init_model_params(7, 5, 4, 2, np.random.default_rng(0)),
+                  model.init_model_params(6, 5, 4, 3, np.random.default_rng(0))):
+        with pytest.raises(data.ManifestError, match="checkpoint"):
+            trainer.evaluate(wrong, dataset, "test")
+    assert reads == []
+
+
 def test_zero_output_layer_predicts_first_class_at_chance():
     c = 3
     params = model.init_model_params(4, 4, 5, c, np.random.default_rng(1))
@@ -252,7 +262,6 @@ def test_adam_over_packed_arrays_is_bitwise_adam_over_per_gate_views():
     assert len(opt_packed) == 27 and len(opt_views) == 54
     state_packed = trainer.optim.AdamState.for_params(opt_packed)
     state_views = trainer.optim.AdamState.for_params(opt_views)
-    cfg = trainer.optim.AdamConfig(lr=1e-2, clip_norm=None)
     before = [arr.copy() for _, arr in packed.tensors()]
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -265,10 +274,10 @@ def test_adam_over_packed_arrays_is_bitwise_adam_over_per_gate_views():
             packed, [seq], [label], "weak", DecoderInit.SUM, packed_aux, 1.0)
         trainer.optim.adam_step(opt_packed, {name: arr.copy() for name, arr in
                                              (*grads.arrays(), *aux_grads.arrays())},
-                                state_packed, cfg)
+                                state_packed, 1e-2, None)
         trainer.optim.adam_step(opt_views, {name: arr.copy() for name, arr in
                                             (*grads.tensors(), *aux_grads.tensors())},
-                                state_views, cfg)
+                                state_views, 1e-2, None)
         for (name, got), (_, want) in zip(
                 (*packed.tensors(), *packed_aux.tensors()),
                 (*views.tensors(), *views_aux.tensors())):
