@@ -20,18 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import binio
-from .model import ModelParams, init_model_params
+from .model import ModelParams, init_model_params, param_count
 
 MAGIC = b"AVSM"
 VERSION = 1
-
-
-def _param_count(d_a: int, d_v: int, h: int, c: int) -> int:
-    """Entries in a ModelParams of these dimensions."""
-    def lstm(d):
-        return 4 * h * (d + h + 1)
-    fusion = 2 * (2 * h * h + 2 * h)  # two h -> h -> h MLPs
-    return lstm(d_a) + lstm(d_v) + fusion + lstm(d_a + d_v) + (c + 1) * (h + 1)
 
 
 def save_model(params: ModelParams, path) -> None:
@@ -64,14 +56,17 @@ def load_model(path) -> ModelParams:
             "invalid header dimensions d_a=%d d_v=%d h=%d C=%d" % (d_a, d_v, h, c))
     # Checked before the skeleton is built, so a header with huge
     # dimensions fails without allocating what it declares.
-    needed = 8 * _param_count(d_a, d_v, h, c)
+    needed = 8 * param_count(d_a, d_v, h, c)
     available = len(reader.data) - reader.offset
     if needed > available:
         raise binio.TruncatedFileError(reader.offset, needed, available)
     if needed < available:
         raise binio.TrailingDataError(reader.offset + needed, available - needed)
     params = init_model_params(d_a, d_v, h, c, rng=None, dtype=np.float64)
-    for _, arr in params.tensors():
+    for name, arr in params.tensors():
         arr[...] = reader.array("<f8", arr.size).reshape(arr.shape)
+        if not np.isfinite(arr).all():
+            raise binio.FormatError("%s: non-finite value in tensor %s"
+                                    % (path, name))
     reader.expect_eof()
     return params

@@ -29,6 +29,12 @@ MAGIC = b"AVSD"
 VERSION = 1
 SPLITS = ("train", "val", "test")
 
+# The most memory one allocation that a config or manifest asks for may
+# take: an array of synthetic data, a split's features as `load_split`
+# holds them, or the model's flat parameter buffer in float64.  Checked
+# before anything is allocated, so an oversized request fails at once.
+MAX_BYTES = 1 << 30
+
 
 class ManifestError(ValueError):
     pass
@@ -82,6 +88,9 @@ class FeatureSequence:
                              % (self.audio_dim, self.visual_dim))
         if self.labels.min() < 0 or self.labels.max() > self.num_events:
             raise ValueError("labels out of range [0, %d]" % self.num_events)
+        for name, features in (("audio", self.audio), ("visual", self.visual)):
+            if not np.isfinite(features).all():
+                raise ValueError("non-finite %s feature value" % name)
 
 
 def write_features(seq: FeatureSequence, path) -> None:
@@ -224,6 +233,9 @@ def read_manifest(path) -> DatasetManifest:
             entries.append(ManifestEntry(*parts))
         elif "=" in line:
             key, _, value = line.partition("=")
+            if key.strip() in header:
+                raise ManifestError("%s:%d: repeated header key %s"
+                                    % (path, lineno, key.strip()))
             header[key.strip()] = value.strip()
         else:
             raise ManifestError("%s:%d: unparseable line %r" % (path, lineno, line))
@@ -315,6 +327,19 @@ class SynthConfig:
                 "cannot build %d orthogonal prototypes in %d dimensions; "
                 "need num_events + 1 <= min(d_a, d_v)"
                 % (self.num_events + 1, limit))
+        # The largest float64 array generation makes: a modality's
+        # (d, C + 1) prototype draw or a video's (T, d) features.
+        widest = max(self.audio_dim, self.visual_dim)
+        largest = 8 * widest * max(self.num_events + 1, self.num_segments)
+        # float32 features and int64 labels per video, as load_split holds them
+        per_video = self.num_segments * (4 * (self.audio_dim + self.visual_dim) + 8)
+        videos = max(self.train_videos, self.val_videos, self.test_videos)
+        for what, size in (("its largest array", largest),
+                           ("its largest split, held in memory", videos * per_video)):
+            if size > MAX_BYTES:
+                raise ConfigError(
+                    "synthetic data set too large: %s would take %d bytes, "
+                    "over the limit of %d" % (what, size, MAX_BYTES))
 
 
 def _prototypes(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

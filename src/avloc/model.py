@@ -89,6 +89,14 @@ def init_model_params(audio_dim: int, visual_dim: int, hidden_size: int,
     )
 
 
+def param_count(d_a: int, d_v: int, h: int, c: int) -> int:
+    """Entries in a ModelParams of these dimensions."""
+    def lstm(d):
+        return 4 * h * (d + h + 1)
+    fusion = 2 * (2 * h * h + 2 * h)  # two h -> h -> h MLPs
+    return lstm(d_a) + lstm(d_v) + fusion + lstm(d_a + d_v) + (c + 1) * (h + 1)
+
+
 def cast_model(params: ModelParams, dtype) -> ModelParams:
     return params.map(lambda arr: arr.astype(dtype))
 
@@ -196,7 +204,7 @@ def model_backward(trace: PredictionTrace, dlogits: np.ndarray,
         fusion_grads, d_a_state, d_v_state = fusion_mod.fuse_backward(
             params.fusion, trace.fusion_trace, dh0, dc0)
     else:
-        fusion_grads = params.fusion.map(Rows.empty)
+        fusion_grads = fusion_mod.no_grads(params.fusion)
         zero = np.zeros_like(dh0)
         if trace.init_mode is DecoderInit.AUDIO_ONLY:
             d_a_state = LstmState(dh0, dc0)

@@ -1,16 +1,52 @@
-"""Adam with bias correction and optional global-norm gradient clipping.
+"""Adam with bias correction and optional global-norm gradient clipping,
+over one flat buffer.
 
-Parameters and gradients travel as {name: array} dicts so the same
-optimizer covers the model bundle and any auxiliary heads.  Updates are
-applied in place, in dict insertion order, so runs are deterministic.
-A step allocates no whole-array temporaries: every intermediate goes into
-two scratch buffers that the state keeps, sized to the largest parameter.
+The trainer keeps every trainable array, the model's and the auxiliary
+heads', as a view of one flat parameter buffer, and reduces each
+minibatch's gradient into views of a flat gradient buffer of the same
+layout (`tree.pack`, `tree.flat_views`).  A step then costs numpy
+dispatch per chunk, not per array: it checks the whole gradient for
+non-finite values once, and runs the update over the buffers in chunks
+of CHUNK elements, with flat first and second moments.  Each chunk takes
+the same in-place operations in the same order as the expression
+
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+
+writing its intermediates into two scratch buffers of one chunk each, so
+a step allocates no whole-buffer temporary.  A chunk keeps those
+operands in cache.  At the AVE shape (963,799 parameters) one step took
+3.1-3.3 ms in chunks of 65,536 elements, 3.6 ms in chunks of 16,384,
+3.9 ms in chunks of 262,144 and 4.5 ms unchunked, slower than the
+per-array update it replaces (all in one run; figures below).
+
+The bits are those of the per-array update.  Every operation of the
+update is elementwise, so where an element lives does not change its
+value.  The clipping norm is still the square root of a sum, in the
+arrays' canonical order, of one dot product per array (`views`), and the
+clip scale multiplies each gradient element before the update reads it.
+The per-array views are read only for the norm and, when the gradient is
+not finite, to name the first offending array.
+
+Measured per step, float32, one BLAS thread (2-core Xeon, numpy 2.4.6,
+OpenBLAS), with the finiteness check and the norm, clipping not firing:
+286-292 us per array against 91-96 us flat at the main shape (19 arrays,
+27,301 parameters), and 3.59-3.61 ms against 2.83-2.85 ms at the AVE
+shape (27 arrays, 963,799 parameters), of which the finiteness check
+over the whole buffer takes about 0.18 ms.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .ops import ShapeError
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+CHUNK = 65536  # elements per pass of the update
 
 
 class NanGradError(RuntimeError):
@@ -21,68 +57,52 @@ class NanGradError(RuntimeError):
         self.tensor = tensor
 
 
-BETA1 = 0.9
-BETA2 = 0.999
-EPS = 1e-8
-
-
 @dataclass
 class AdamState:
+    m: np.ndarray  # flat, like the parameter buffer
+    v: np.ndarray
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    # dtype -> two flat scratch buffers, each as large as the largest
-    # parameter of that dtype
-    scratch: dict = field(default_factory=dict, repr=False)
+    # two scratch buffers of one chunk each
+    scratch: tuple = field(default=(), repr=False)
 
     @classmethod
-    def for_params(cls, params: dict) -> "AdamState":
-        state = cls()
-        largest = {}
-        for name, arr in params.items():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-            largest[arr.dtype] = max(largest.get(arr.dtype, 0), arr.size)
-        state.scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype))
-                         for dtype, size in largest.items()}
-        return state
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        size = min(params.size, CHUNK)
+        return cls(np.zeros_like(params), np.zeros_like(params),
+                   scratch=(np.empty(size, params.dtype),
+                            np.empty(size, params.dtype)))
 
 
-def clip_grads(grads: dict, clip_norm: float) -> float:
-    """Scale all gradients in place so their global norm is <= clip_norm.
+def adam_step(params: np.ndarray, grads: np.ndarray, views: dict,
+              state: AdamState, lr: float, clip_norm: float | None) -> None:
+    """One Adam update, in place on the flat parameter buffer.
 
-    Returns the pre-clip norm.
+    grads is the flat gradient buffer of the same layout, and views its
+    per-array views {name: array} in canonical order, together covering
+    it.  Unless clip_norm is None, the gradients are first scaled in place
+    so that their global norm is at most clip_norm.
     """
-    total = 0.0
-    for arr in grads.values():
-        total += float(np.dot(arr.ravel(), arr.ravel()))
-    norm = math.sqrt(total)
-    if norm > clip_norm:
-        scale = clip_norm / norm
-        for arr in grads.values():
-            arr *= scale
-    return norm
-
-
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              clip_norm: float | None) -> None:
-    """One Adam update, in place on the parameter arrays; the gradients are
-    first clipped to global norm clip_norm unless it is None."""
-    if params.keys() != grads.keys():
-        raise KeyError("parameter/gradient name mismatch")
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NanGradError(name)
+    if params.shape != grads.shape or params.ndim != 1:
+        raise ShapeError("adam_step", params.shape, grads.shape)
+    if not np.isfinite(grads).all():
+        raise NanGradError(next((name for name, g in views.items()
+                                 if not np.isfinite(g).all()), "?"))
+    scale = None
     if clip_norm is not None:
-        clip_grads(grads, clip_norm)
+        total = 0.0
+        for g in views.values():
+            total += float(np.dot(g.ravel(), g.ravel()))
+        norm = math.sqrt(total)
+        if norm > clip_norm:
+            scale = clip_norm / norm
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        a, b = (buf[:p.size].reshape(p.shape) for buf in state.scratch[p.dtype])
+    for lo in range(0, params.size, CHUNK):
+        p, g, m, v = (buf[lo:lo + CHUNK] for buf in (params, grads, state.m, state.v))
+        a, b = (buf[:p.size] for buf in state.scratch)
+        if scale is not None:
+            g *= scale
         # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), operation for operation
         # in that order, so the bits are those of the expression.
         m *= BETA1

@@ -6,9 +6,12 @@ own recurrence: forward, objective and a backward pass that returns its
 gradient in factored form, as rows (`tree.Rows`).  One reduction over the
 rows of the whole batch gives the mean gradient, one matrix product or
 column sum per stored array, and Adam with global-norm clipping applies
-it.  Evaluation projects streamed chunks of EVAL_CHUNK videos the same
-way.  Runs are deterministic for a fixed seed: shuffling comes from one
-seeded generator and the rows are stacked in shuffled video order.
+it.  Every trainable array lives in one flat buffer and the reduction
+writes into a second one laid out the same way, so that Adam steps over
+all of them at once (`optim`).  Evaluation projects streamed chunks of
+EVAL_CHUNK videos the same way.  Runs are deterministic for a fixed
+seed: shuffling comes from one seeded generator and the rows are stacked
+in shuffled video order.
 
 Decoder-initialization modes mirror the ablation table: the full fusion
 path, a single modality's final state, or "label_guided", which sums both
@@ -30,7 +33,7 @@ from .data import ConfigError, DatasetManifest
 from .fusion import MlpParams
 from .model import DecoderInit, ModelParams
 from .ops import Precision
-from .tree import ParamTree, RowGrads, reduce_rows
+from .tree import ParamTree, RowGrads, flat_views, pack, reduce_rows
 
 SETTINGS = ("supervised", "weak")
 
@@ -212,6 +215,21 @@ def evaluate(params: ModelParams, manifest: DatasetManifest, split: str,
 # training
 
 
+def check_size(manifest: DatasetManifest, hidden_size: int) -> None:
+    """Refuse a model at the manifest's dims and this hidden size whose
+    parameters take more than data.MAX_BYTES in float64, as checkpoints
+    hold them.  Training keeps every parameter array in one flat buffer,
+    so the bound covers the largest array and all of them together."""
+    size = 8 * model_mod.param_count(manifest.audio_dim, manifest.visual_dim,
+                                     hidden_size, manifest.num_events)
+    if size > data_mod.MAX_BYTES:
+        raise ConfigError(
+            "model too large: h=%d at d_a=%d, d_v=%d, C=%d takes %d bytes of "
+            "parameters, over the limit of %d"
+            % (hidden_size, manifest.audio_dim, manifest.visual_dim,
+               manifest.num_events, size, data_mod.MAX_BYTES))
+
+
 @dataclass
 class EpochLog:
     epoch: int
@@ -238,12 +256,14 @@ class TrainResult:
 
 def _minibatch_grads(params: ModelParams, seqs: list, video_labels: list,
                      setting: str, dec_init: DecoderInit,
-                     aux: AuxHeads | None, aux_weight: float):
+                     aux: AuxHeads | None, aux_weight: float,
+                     out: list | None = None):
     """One minibatch: the summed loss of its videos and their mean gradient,
     dense, as (loss, model grads, head grads or None).  A video's target is
     its segment labels in the supervised setting and its video_labels entry
     in the weak setting.  Every stored array's gradient is one product or
-    column sum over the batch's stacked rows."""
+    column sum over the batch's stacked rows, written into the arrays of
+    the bundles in `out` (model, then heads) when it is given."""
     supervised = setting == "supervised"
     objective = (model_mod.supervised_objective if supervised
                  else model_mod.weak_objective)
@@ -265,8 +285,9 @@ def _minibatch_grads(params: ModelParams, seqs: list, video_labels: list,
         model_rows.append(grads.bundle)
         total += loss
     scale = 1.0 / len(seqs)
-    return (total, reduce_rows(model_rows, scale),
-            reduce_rows(head_rows, scale) if head_rows else None)
+    out = out or [None, None]
+    return (total, reduce_rows(model_rows, scale, out[0]),
+            reduce_rows(head_rows, scale, out[1]) if head_rows else None)
 
 
 def train(manifest: DatasetManifest, cfg: TrainConfig,
@@ -277,6 +298,7 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
     epoch, mean train loss, val frame accuracy.
     """
     cfg.validate()
+    check_size(manifest, cfg.hidden_size)
     dtype = cfg.precision.dtype
     train_seqs = data_mod.load_split(manifest, "train")
     val_seqs = data_mod.load_split(manifest, "val")
@@ -298,10 +320,15 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
     else:
         video_labels = [None] * len(train_seqs)
 
-    # One update per stored (gate-packed) array instead of one per gate view.
-    opt_params = dict(params.arrays())
-    if aux is not None:
-        opt_params.update(aux.arrays())
+    # Every trainable array becomes a view of one flat buffer, and every
+    # minibatch's gradient is reduced into views of a second one laid out
+    # the same way, so that Adam steps over all of them at once.
+    trainables = [params] if aux is None else [params, aux]
+    opt_params = pack(trainables)
+    opt_grads = np.zeros_like(opt_params)
+    grad_bundles = flat_views(opt_grads, trainables)
+    grad_views = {name: arr for bundle in grad_bundles
+                  for name, arr in bundle.arrays()}
     opt_state = optim.AdamState.for_params(opt_params)
 
     result = TrainResult(params=params, config=cfg)
@@ -314,15 +341,13 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, grads, aux_grads = _minibatch_grads(
+            loss, _, _ = _minibatch_grads(
                 params, [train_seqs[i] for i in batch],
                 [video_labels[i] for i in batch],
-                cfg.setting, dec_init, aux, cfg.aux_weight)
+                cfg.setting, dec_init, aux, cfg.aux_weight, grad_bundles)
             epoch_loss += loss
-            dense = dict(grads.arrays())
-            if aux_grads is not None:
-                dense.update(aux_grads.arrays())
-            optim.adam_step(opt_params, dense, opt_state, cfg.lr, cfg.clip_norm)
+            optim.adam_step(opt_params, opt_grads, grad_views, opt_state,
+                            cfg.lr, cfg.clip_norm)
         epoch_loss /= len(train_seqs)
         if not math.isfinite(epoch_loss):
             raise FloatingPointError("training loss went non-finite at epoch %d"

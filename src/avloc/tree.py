@@ -3,7 +3,8 @@
 A bundle is a dataclass whose fields are arrays or nested bundles.  The
 order in which the fields are declared is the canonical tensor order that
 the gradient checker and the checkpoint format share (`tensors`), and the
-order in which the optimizer walks the stored arrays (`arrays`).
+order of the arrays that the optimizer names and sums into its gradient
+norm (`arrays`).
 
 Backward passes return gradients in factored form: a bundle of the
 parameters' structure whose every leaf is `Rows`, the gradient rows of a
@@ -11,6 +12,10 @@ layer together with the inputs they multiply.  Every weight in the model
 is applied to rows of inputs (y = x W^T + b), so its gradient over any
 number of videos is one product of the rows stacked over all of them, and
 a bias gradient one column sum; `reduce_rows` forms those dense arrays.
+
+`pack` moves the stored arrays of bundles into one flat buffer, and
+`flat_views` lays out a second buffer the same way, so that an optimizer
+can step over all parameters at once (`optim`).
 """
 
 import dataclasses
@@ -27,10 +32,11 @@ class ParamTree:
         return self._walk("tensors", prefix)
 
     def arrays(self, prefix: str = ""):
-        """(name, array) pairs of the arrays the bundle stores, named and
-        ordered as `tensors` names and orders its fields.  The same as
-        `tensors` unless a bundle yields views of its arrays there, as a
-        gate-packed LSTM does."""
+        """(name, array) pairs of the arrays that the optimizer names in its
+        errors and sums into its gradient norm, in canonical order: the
+        arrays the bundle stores, unless it says otherwise.  A gate-packed
+        LSTM yields its packed arrays here and per-gate views in `tensors`;
+        a track-packed fusion block yields per-track views in both."""
         return self._walk("arrays", prefix)
 
     def _walk(self, method: str, prefix: str):
@@ -58,34 +64,81 @@ class Rows:
     """The gradient of one weight or bias in factored form: rows g (n, out)
     of output gradients and, for a weight, the inputs x (n, in) they met.
     The dense gradient is g^T x for a weight and the column sums of g for a
-    bias (x None)."""
+    bias (x None).  A packed array's rows carry its leading axes in front,
+    e.g. (2, n, out) for a track-packed fusion weight."""
 
     g: np.ndarray
     x: np.ndarray | None = None
 
-    @classmethod
-    def empty(cls, param: np.ndarray) -> "Rows":
-        """No rows for `param`: its dense gradient is zero."""
-        g = np.empty((0, param.shape[0]), dtype=param.dtype)
-        return cls(g, None if param.ndim == 1
-                   else np.empty((0, param.shape[1]), dtype=param.dtype))
 
-
-def reduce_rows(bundles: list, scale: float = 1.0):
+def reduce_rows(bundles: list, scale: float = 1.0, out: ParamTree | None = None):
     """Dense gradient of the sum over factored bundles of one structure,
     times `scale`: for each stored array, one matrix product (or one column
-    sum) over the rows of all bundles stacked in list order."""
-    def reduce(*leaves):
-        g = np.concatenate([leaf.g for leaf in leaves])
+    sum) over the rows of all bundles stacked in list order.  With `out`,
+    a bundle of that structure, the gradients are written into its arrays,
+    which the returned bundle holds."""
+    def reduce(dest, *leaves):
+        g = np.concatenate([leaf.g for leaf in leaves], axis=-2)
         if leaves[0].x is None:
-            out = g.sum(axis=0)
+            dest = g.sum(axis=-2, out=dest)
         else:
-            x = np.concatenate([leaf.x for leaf in leaves])
-            out = (g.T @ x).astype(g.dtype, copy=False)
-        out *= scale
-        return out
+            x = np.concatenate([leaf.x for leaf in leaves], axis=-2)
+            dest = np.matmul(g.swapaxes(-1, -2), x,
+                             out=dest).astype(g.dtype, copy=False)
+        dest *= scale
+        return dest
 
-    return bundles[0].map(reduce, *bundles[1:])
+    if out is None:
+        out = bundles[0].map(lambda leaf: None)
+    return out.map(reduce, *bundles)
+
+
+def _slots(buf: np.ndarray):
+    """A function that hands out consecutive views of buf, each shaped like
+    the array it is given."""
+    offset = 0
+
+    def take(arr):
+        nonlocal offset
+        view = buf[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+        return view
+
+    return take
+
+
+def _stored(bundle: ParamTree):
+    """(owner bundle, field name) of every stored array, in field order."""
+    for field in dataclasses.fields(bundle):
+        value = getattr(bundle, field.name)
+        if isinstance(value, ParamTree):
+            yield from _stored(value)
+        else:
+            yield bundle, field.name
+
+
+def pack(bundles: list) -> np.ndarray:
+    """Move every stored array of the bundles, in field order, into one new
+    flat buffer and rebind each field to its view there.  The arrays move
+    one at a time and each original is dropped as it goes, so the values
+    are never held twice.  All arrays share one dtype.  Returns the
+    buffer."""
+    fields = [slot for bundle in bundles for slot in _stored(bundle)]
+    size = sum(getattr(owner, name).size for owner, name in fields)
+    buf = np.empty(size, dtype=getattr(*fields[0]).dtype)
+    take = _slots(buf)
+    for owner, name in fields:
+        view = take(getattr(owner, name))
+        view[...] = getattr(owner, name)
+        setattr(owner, name, view)
+    return buf
+
+
+def flat_views(buf: np.ndarray, bundles: list) -> list:
+    """Bundles of the given structures whose arrays are views of buf, laid
+    out as `pack` lays out the bundles' arrays."""
+    take = _slots(buf)
+    return [bundle.map(take) for bundle in bundles]
 
 
 @dataclasses.dataclass

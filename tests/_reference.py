@@ -3,11 +3,20 @@
 Everything here is written with explicit Python loops and math.exp /
 math.tanh on floats, deliberately sharing no code with the package, so
 the vectorized implementation can be checked against it.  Parameters are
-read from the package's dataclasses, LSTM gates by their canonical tensor
-names (wf, uf, bf, ...), but only ever indexed elementwise.
+read from the package's dataclasses, LSTM gates and fusion tracks by their
+canonical tensor names (wf, uf, bf, ..., g_h.w1, ...), but only ever
+indexed elementwise.
+
+The end of the file holds a second kind of reference: the fusion block as
+per-track numpy expressions, one track and one modality at a time, as the
+package computed it before its tracks were packed.  The packed block must
+reproduce those bit for bit.
 """
 
 import math
+from types import SimpleNamespace
+
+import numpy as np
 
 
 def sigmoid(x: float) -> float:
@@ -60,6 +69,14 @@ def mlp(p, x):
     return [v + float(p.b2[k]) for k, v in enumerate(matvec(p.w2, hidden))]
 
 
+def track_mlp(fusion, track):
+    """One fusion track's MLP (track "g_h" or "g_c") by tensor name, with
+    the attributes w1, b1, w2, b2 that `mlp` reads."""
+    t = dict(fusion.tensors())
+    return SimpleNamespace(**{name: t[track + "." + name]
+                              for name in ("w1", "b1", "w2", "b2")})
+
+
 def fuse_track(g, a, v):
     ga = mlp(g, a)
     gv = mlp(g, v)
@@ -74,8 +91,8 @@ def forward_logits(params, audio, visual, init_mode="fusion"):
     _, ah, ac = run_lstm(params.enc_audio, audio)
     _, vh, vc = run_lstm(params.enc_visual, visual)
     if init_mode == "fusion":
-        h0 = fuse_track(params.fusion.g_h, ah, vh)
-        c0 = fuse_track(params.fusion.g_c, ac, vc)
+        h0 = fuse_track(track_mlp(params.fusion, "g_h"), ah, vh)
+        c0 = fuse_track(track_mlp(params.fusion, "g_c"), ac, vc)
     elif init_mode == "audio_only":
         h0, c0 = ah, ac
     elif init_mode == "visual_only":
@@ -105,3 +122,40 @@ def softmax(row):
 def average_pool(rows):
     steps = len(rows)
     return [sum(row[k] for row in rows) / steps for k in range(len(rows[0]))]
+
+
+# ---------------------------------------------------------------------------
+# per-track numpy expressions of the fusion block
+
+
+def mlp_expression(g, x):
+    """(y, hidden) of one MLP applied to one vector x."""
+    hidden = np.tanh(x @ g.w1.T + g.b1)
+    return hidden @ g.w2.T + g.b2, hidden
+
+
+def fuse_track_expression(g, a, v):
+    """One track forward: (fused, (hidden_a, hidden_v), (out_a, out_v))."""
+    ga, hidden_a = mlp_expression(g, a)
+    gv, hidden_v = mlp_expression(g, v)
+    m = 0.5 * (ga + gv)
+    out_a = np.tanh(a + m)
+    out_v = np.tanh(v + m)
+    return out_a + out_v, (hidden_a, hidden_v), (out_a, out_v)
+
+
+def fuse_track_backward_expression(g, a, v, gout):
+    """One track backward, the two modalities' MLP applications stacked as
+    two rows: (grad on a, grad on v, {name: (rows g, rows x or None)})."""
+    _, (hidden_a, hidden_v), (out_a, out_v) = fuse_track_expression(g, a, v)
+    dza = gout * (1.0 - out_a * out_a)
+    dzv = gout * (1.0 - out_v * out_v)
+    dm = 0.5 * (dza + dzv)
+    x = np.stack((a, v))
+    hidden = np.stack((hidden_a, hidden_v))
+    dms = np.stack((dm, dm))
+    dz1 = dms @ g.w2 * (1.0 - hidden * hidden)
+    dx = dz1 @ g.w1
+    rows = {"w1": (dz1, x), "b1": (dz1, None), "w2": (dms, hidden),
+            "b2": (dms, None)}
+    return dza + dx[0], dzv + dx[1], rows

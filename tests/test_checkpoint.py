@@ -86,5 +86,24 @@ def test_header_size_is_checked_before_allocating(tmp_path):
 
 def test_param_count_matches_the_tensors():
     params = model.init_model_params(3, 4, 5, 2, None)
-    assert checkpoint._param_count(3, 4, 5, 2) == sum(
+    assert model.param_count(3, 4, 5, 2) == sum(
         arr.size for _, arr in params.tensors())
+
+
+@pytest.mark.parametrize("name", ["enc_audio.wf", "fusion.g_c.w1", "out_b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_are_rejected_by_name(tmp_path, name, value):
+    params = make_model(seed=4)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_model(params, path)
+    offset = 22  # header bytes
+    for tensor, arr in params.tensors():
+        if tensor == name:
+            break
+        offset += 8 * arr.size
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 8] = np.float64(value).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(binio.FormatError) as info:
+        checkpoint.load_model(path)
+    assert name in str(info.value) and str(path) in str(info.value)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import shutil
 import typing
 
 import numpy as np
@@ -295,6 +296,22 @@ def user_error_argv(case, root):
         return ["eval", "--checkpoint", str(root / "model.ckpt"),
                 "--manifest", str(root / "ds/no_test.txt"), "--split", "test",
                 "--init", "fusion"]
+    if case == "eval_non_finite_features":
+        # the pipeline's data set with a NaN in one test video's audio
+        shutil.copytree(root / "ds", root / "nan_ds", dirs_exist_ok=True)
+        path = root / "nan_ds/test_0000.avsd"
+        blob = bytearray(path.read_bytes())
+        blob[22:26] = np.float32(np.nan).tobytes()  # the first audio value
+        path.write_bytes(bytes(blob))
+        return ["eval", "--checkpoint", str(root / "model.ckpt"),
+                "--manifest", str(root / "nan_ds/manifest.txt"),
+                "--split", "test", "--init", "fusion"]
+    if case == "eval_non_finite_checkpoint":
+        blob = bytearray((root / "model.ckpt").read_bytes())
+        blob[22:30] = np.float64(np.nan).tobytes()  # the first parameter
+        (root / "nan.ckpt").write_bytes(bytes(blob))
+        return ["eval", "--checkpoint", str(root / "nan.ckpt"),
+                "--manifest", manifest, "--split", "test", "--init", "fusion"]
     if case == "clip_norm_file":
         cfg.write_text("clip_norm=-1\n")
         return train + ["--config", str(cfg)]
@@ -313,6 +330,8 @@ def user_error_argv(case, root):
     ("train_negative_seed", "seed"), ("gradcheck_negative_seed", "seed"),
     ("eval_class_count_mismatch", "C=3"), ("eval_empty_split", "'test'"),
     ("manifest_zero_dim", "d_a"), ("features_zero_dim", "d_a"),
+    ("eval_non_finite_features", "test_0000.avsd"),
+    ("eval_non_finite_checkpoint", "enc_audio.wf"),
     ("clip_norm_file", "clip_norm"), ("clip_norm_flag", "clip_norm"),
     ("lr_flag_nan", "learning rate"), ("aux_weight_file_inf", "aux_weight")])
 def test_user_errors_exit_1_with_a_message(pipeline, capsys, case, names):

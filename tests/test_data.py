@@ -120,6 +120,25 @@ def test_read_rejects_a_class_count_the_writer_cannot_store(tmp_path):
         "C", 70000, binio.U16_MAX)
 
 
+@pytest.mark.parametrize("modality", ["audio", "visual"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_refused(tmp_path, modality, value):
+    seq = make_seq(t=3, d_a=3, d_v=4)
+    path = tmp_path / "clip.avsd"
+    data.write_features(seq, path)
+    # the second value of the modality's block, after the 22 header bytes
+    offset = 22 + (0 if modality == "audio" else 4 * 3 * 3) + 4
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(binio.FormatError) as info:
+        data.read_features(path)
+    assert str(path) in str(info.value) and modality in str(info.value)
+    getattr(seq, modality)[0, 1] = value
+    with pytest.raises(ValueError, match="non-finite %s" % modality):
+        data.write_features(seq, tmp_path / "out.avsd")
+
+
 def make_manifest(root=None):
     return data.DatasetManifest(
         num_events=2, categories=["bark", "siren"], audio_dim=3, visual_dim=4,
@@ -199,6 +218,18 @@ def test_manifest_rejects_unknown_split_and_bad_lines(tmp_path):
         make_manifest().split("dev")
 
 
+@pytest.mark.parametrize("repeat", ["C=3", "C=2", "categories=x,y"])
+def test_manifest_rejects_a_repeated_header_key(tmp_path, repeat):
+    path = tmp_path / "m.txt"
+    data.write_manifest(make_manifest(), path)
+    lines = path.read_text().splitlines(keepends=True)  # 5 header lines
+    path.write_text("".join(lines[:5] + [repeat + "\n"] + lines[5:]))
+    with pytest.raises(data.ManifestError) as info:
+        data.read_manifest(path)
+    key = repeat.partition("=")[0]
+    assert "%s:6: repeated header key %s" % (path, key) in str(info.value)
+
+
 @pytest.mark.parametrize("key", ["C", "d_a", "d_v", "T"])
 def test_manifest_rejects_non_integer_header_values(tmp_path, key):
     path = tmp_path / "m.txt"
@@ -271,11 +302,34 @@ def test_synth_config_validation():
 
 def test_synth_config_rejects_more_classes_than_u16_labels_hold():
     """Only the validator runs: generating data at this size would first
-    draw a QR of a 65537 x 65537 matrix."""
+    draw a QR of a 65537 x 65537 matrix.  One class fewer fits in u16
+    labels, but its prototypes alone are over the byte limit."""
     wide = dict(audio_dim=binio.U16_MAX + 2, visual_dim=binio.U16_MAX + 2)
     with pytest.raises(data.ConfigError, match="num_events must be <= 65535"):
         data.SynthConfig(num_events=binio.U16_MAX + 1, **wide).validate()
-    data.SynthConfig(num_events=binio.U16_MAX, **wide).validate()
+    with pytest.raises(data.ConfigError, match="largest array"):
+        data.SynthConfig(num_events=binio.U16_MAX, **wide).validate()
+
+
+# Defaults: C=4, d_a=16, d_v=24, T=10.  A video's features and labels
+# take T * (4 (d_a + d_v) + 8) = 1680 bytes in memory.
+PER_VIDEO = 1680
+
+
+@pytest.mark.parametrize("field,unit,what", [
+    ("train_videos", PER_VIDEO, "split"), ("val_videos", PER_VIDEO, "split"),
+    ("test_videos", PER_VIDEO, "split"),
+    # 8 bytes * d * max(C + 1, T) for a float64 (T, d) array
+    ("audio_dim", 8 * 10, "largest array"), ("visual_dim", 8 * 10, "largest array"),
+    ("num_segments", 8 * 24, "largest array")])
+def test_synth_config_rejects_data_just_over_the_byte_limit(field, unit, what):
+    """validate allocates nothing, so the sizes are safe to try."""
+    over = data.MAX_BYTES // unit + 1
+    no_videos = {} if what == "split" else dict(train_videos=0, val_videos=0,
+                                                test_videos=0)
+    with pytest.raises(data.ConfigError, match=what):
+        data.SynthConfig(**{field: over}, **no_videos).validate()
+    data.SynthConfig(**{field: over - 1}, **no_videos).validate()
 
 
 def small_cfg(**kw):

@@ -59,8 +59,74 @@ def test_fuse_matches_scalar_reference():
     a = LstmState(rng.standard_normal(5), rng.standard_normal(5))
     v = LstmState(rng.standard_normal(5), rng.standard_normal(5))
     fused, _ = fusion.fuse(p, a, v)
-    assert np.allclose(fused.h, ref.fuse_track(p.g_h, a.h, v.h), atol=1e-14)
-    assert np.allclose(fused.c, ref.fuse_track(p.g_c, a.c, v.c), atol=1e-14)
+    assert np.allclose(fused.h, ref.fuse_track(ref.track_mlp(p, "g_h"), a.h, v.h),
+                       atol=1e-14)
+    assert np.allclose(fused.c, ref.fuse_track(ref.track_mlp(p, "g_c"), a.c, v.c),
+                       atol=1e-14)
+
+
+@pytest.mark.parametrize("hidden", [1, 4, 32, 128])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_packed_block_is_bitwise_the_per_track_expressions(dtype, hidden):
+    """Both tracks and modalities in one batched product per step give the
+    bits of the per-track, per-modality expressions: fused states, state
+    gradients, every gradient row, and the dense gradient over a batch."""
+    rng = np.random.default_rng(hidden)
+    p = fusion.init_fusion_params(hidden, rng, dtype)
+    for arr in (p.b1, p.b2):  # non-zero biases
+        arr[...] = rng.standard_normal(arr.shape)
+    videos = []
+    for _ in range(3):
+        a, v, gout = (rng.standard_normal((2, hidden)).astype(dtype)
+                      for _ in range(3))
+        fused, trace = fusion.fuse(p, LstmState(*a), LstmState(*v))
+        grads, d_a, d_v = fusion.fuse_backward(p, trace, *gout)
+        for k, track in enumerate(fusion.TRACKS):
+            g = ref.track_mlp(p, track)
+            want, _, _ = ref.fuse_track_expression(g, a[k], v[k])
+            assert (fused.h, fused.c)[k].tobytes() == want.tobytes(), track
+            want_a, want_v, rows = ref.fuse_track_backward_expression(
+                g, a[k], v[k], gout[k])
+            assert (d_a.h, d_a.c)[k].tobytes() == want_a.tobytes(), track
+            assert (d_v.h, d_v.c)[k].tobytes() == want_v.tobytes(), track
+            for name, (want_g, want_x) in rows.items():
+                leaf = getattr(grads, name)
+                assert leaf.g[k].tobytes() == want_g.tobytes(), (track, name)
+                if want_x is not None:
+                    assert leaf.x[k].tobytes() == want_x.tobytes(), (track, name)
+        videos.append(grads)
+    dense = dict(reduce_rows(videos, 0.5).tensors())
+    for k, track in enumerate(fusion.TRACKS):
+        for name in ("w1", "b1", "w2", "b2"):
+            leaves = [getattr(grads, name) for grads in videos]
+            g = np.concatenate([leaf.g[k] for leaf in leaves])
+            want = (g.sum(axis=0) if leaves[0].x is None
+                    else g.T @ np.concatenate([leaf.x[k] for leaf in leaves]))
+            want *= 0.5
+            assert dense[track + "." + name].tobytes() == want.tobytes(), (track, name)
+
+
+def test_tensor_views_write_into_the_packed_storage():
+    """Checkpoint loading and finite differences write through tensors()."""
+    p = make_fusion(h=3)
+    for j, (_, arr) in enumerate(p.tensors()):
+        arr[...] = j
+    for j, name in enumerate(("w1", "b1", "w2", "b2")):
+        packed = getattr(p, name)
+        assert (packed[0] == j).all() and (packed[1] == j + 4).all(), name
+    assert [name for name, _ in p.arrays()] == [name for name, _ in p.tensors()]
+
+
+def test_packed_init_draws_the_hidden_track_then_the_cell_track():
+    packed = fusion.init_fusion_params(5, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    tracks = [fusion.init_mlp_params(5, 5, 5, rng) for _ in fusion.TRACKS]
+    want = [(track + "." + name, arr) for track, mlp in zip(fusion.TRACKS, tracks)
+            for name, arr in mlp.tensors()]
+    got = list(packed.tensors())
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, x), (_, y) in zip(got, want):
+        assert x.tobytes() == y.tobytes(), name
 
 
 def test_fused_state_bounded_by_two():

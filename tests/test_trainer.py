@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avloc import checkpoint, data, fusion, model, trainer
+from avloc import checkpoint, data, fusion, model, optim, trainer, tree
 from avloc.model import DecoderInit
 from avloc.ops import Precision
 
@@ -246,9 +246,10 @@ def test_label_guided_gradients_match_finite_differences():
 
 
 def test_adam_over_packed_arrays_is_bitwise_adam_over_per_gate_views():
-    """The trainer steps Adam over the stored gate-packed arrays; without
-    clipping that is the same arithmetic, element for element, as stepping
-    it over the per-gate views that `tensors()` yields."""
+    """The trainer packs every model and head array into one flat buffer,
+    reduces each minibatch's gradient into views of a second one, and steps
+    Adam over the buffers; without clipping that is the same arithmetic,
+    element for element, as stepping Adam over each per-gate view alone."""
     def build():
         rng = np.random.default_rng(4)
         params = model.init_model_params(5, 7, 4, 3, rng, np.float32)
@@ -256,12 +257,16 @@ def test_adam_over_packed_arrays_is_bitwise_adam_over_per_gate_views():
 
     packed, packed_aux = build()
     views, views_aux = build()
-    opt_packed = dict(packed.arrays(), **dict(packed_aux.arrays()))
+    buf = tree.pack([packed, packed_aux])
+    assert np.shares_memory(packed.decoder.w, buf)
+    grad_buf = np.zeros_like(buf)
+    grad_bundles = tree.flat_views(grad_buf, [packed, packed_aux])
+    named = dict(grad_bundles[0].arrays(), **dict(grad_bundles[1].arrays()))
     opt_views = dict(views.tensors(), **dict(views_aux.tensors()))
-    assert opt_packed["decoder.w"] is packed.decoder.w
-    assert len(opt_packed) == 27 and len(opt_views) == 54
-    state_packed = trainer.optim.AdamState.for_params(opt_packed)
-    state_views = trainer.optim.AdamState.for_params(opt_views)
+    assert len(named) == 27 and len(opt_views) == 54
+    state = optim.AdamState.for_params(buf)
+    view_states = {name: optim.AdamState.for_params(arr.reshape(-1))
+                   for name, arr in opt_views.items()}
     before = [arr.copy() for _, arr in packed.tensors()]
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -271,20 +276,58 @@ def test_adam_over_packed_arrays_is_bitwise_adam_over_per_gate_views():
             rng.integers(0, 4, size=6), 3)
         label = seq.video_label().astype(np.float32)
         _, grads, aux_grads = trainer._minibatch_grads(
-            packed, [seq], [label], "weak", DecoderInit.SUM, packed_aux, 1.0)
-        trainer.optim.adam_step(opt_packed, {name: arr.copy() for name, arr in
-                                             (*grads.arrays(), *aux_grads.arrays())},
-                                state_packed, 1e-2, None)
-        trainer.optim.adam_step(opt_views, {name: arr.copy() for name, arr in
-                                            (*grads.tensors(), *aux_grads.tensors())},
-                                state_views, 1e-2, None)
+            packed, [seq], [label], "weak", DecoderInit.SUM, packed_aux, 1.0,
+            grad_bundles)
+        assert np.shares_memory(grads.decoder.w, grad_buf)
+        assert np.shares_memory(aux_grads.aux_visual.b2, grad_buf)
+        per_view = {name: arr.copy().reshape(-1) for name, arr in
+                    (*grads.tensors(), *aux_grads.tensors())}
+        optim.adam_step(buf, grad_buf, named, state, 1e-2, None)
+        for name, arr in opt_views.items():
+            g = per_view[name]
+            optim.adam_step(arr.reshape(-1), g, {name: g}, view_states[name],
+                            1e-2, None)
         for (name, got), (_, want) in zip(
                 (*packed.tensors(), *packed_aux.tensors()),
                 (*views.tensors(), *views_aux.tensors())):
             assert got.tobytes() == want.tobytes(), name
-    # The packed updates landed in the per-gate views that tensors() (and
+    # The flat updates landed in the per-gate views that tensors() (and
     # the checkpoint) reads; the fusion block gets no gradient under SUM.
     moved = {name for (name, arr), old in zip(packed.tensors(), before)
              if not np.array_equal(arr, old)}
     assert moved == {name for name, _ in packed.tensors()
                      if not name.startswith("fusion.")}
+
+
+def test_a_nan_gradient_names_the_first_offending_array(dataset, monkeypatch):
+    """The flat step names the per-track array that went non-finite, not
+    the packed array that holds it, and not an earlier clean array."""
+    backward = fusion.fuse_backward
+
+    def poisoned(*args):
+        grads, d_audio, d_visual = backward(*args)
+        grads.w2.g[1, 0, 0] = np.nan  # the cell track's w2 (and b2) rows
+        return grads, d_audio, d_visual
+
+    monkeypatch.setattr(fusion, "fuse_backward", poisoned)
+    with pytest.raises(optim.NanGradError) as info:
+        trainer.train(dataset, quick_cfg(epochs=1))
+    assert info.value.tensor == "fusion.g_c.w2"
+
+
+def test_a_model_just_over_the_byte_limit_is_refused_before_allocating():
+    """The check needs only the manifest's dims, so a manifest without
+    videos shows that train refuses before it reads or allocates
+    anything."""
+    manifest = data.DatasetManifest(num_events=4, categories=list("abcd"),
+                                    audio_dim=16, visual_dim=24, num_segments=10)
+    lo, hi = 1, 1 << 20  # float64 parameters fit at h = lo, not at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        fits = 8 * model.param_count(16, 24, mid, 4) <= data.MAX_BYTES
+        lo, hi = (mid, hi) if fits else (lo, mid)
+    trainer.check_size(manifest, lo)
+    with pytest.raises(trainer.ConfigError, match="model too large"):
+        trainer.check_size(manifest, hi)
+    with pytest.raises(trainer.ConfigError, match="model too large"):
+        trainer.train(manifest, quick_cfg(hidden_size=hi))
