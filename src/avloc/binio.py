@@ -61,12 +61,16 @@ class ByteReader:
         self.data = data
         self.offset = 0
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
+        """Move past the next n bytes; returns the offset they start at."""
         if self.offset + n > len(self.data):
             raise TruncatedFileError(self.offset, n, len(self.data) - self.offset)
-        chunk = self.data[self.offset:self.offset + n]
         self.offset += n
-        return chunk
+        return self.offset - n
+
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self.data[start:start + n]
 
     def u16(self) -> int:
         return struct.unpack("<H", self.take(2))[0]
@@ -74,9 +78,16 @@ class ByteReader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        raw = self.take(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype, count=count)
+    def array(self, dtype: str, *counts: int) -> np.ndarray:
+        """The next blocks of counts[0], counts[1], ... items as one
+        read-only array over the buffer; a short block raises at its own
+        offset, as reading the blocks one at a time would."""
+        itemsize = np.dtype(dtype).itemsize
+        start = self.offset
+        for count in counts:
+            self._advance(count * itemsize)
+        return np.frombuffer(self.data, dtype=dtype, count=sum(counts),
+                             offset=start)
 
     def expect_eof(self):
         extra = len(self.data) - self.offset

@@ -73,7 +73,10 @@ class FeatureSequence:
     def video_label(self) -> np.ndarray:
         return video_label_from_segments(self.labels, self.num_events)
 
-    def validate(self):
+    def validate(self, finite: bool | None = None):
+        """Raise ValueError for inconsistent shapes, labels out of range or
+        a non-finite feature value.  `finite`, when given, is whether every
+        feature value is finite, as the caller has already found."""
         t = self.length
         if self.audio.ndim != 2 or self.visual.ndim != 2 or self.visual.shape[0] != t:
             raise ValueError("inconsistent feature shapes %s / %s"
@@ -88,9 +91,12 @@ class FeatureSequence:
                              % (self.audio_dim, self.visual_dim))
         if self.labels.min() < 0 or self.labels.max() > self.num_events:
             raise ValueError("labels out of range [0, %d]" % self.num_events)
-        for name, features in (("audio", self.audio), ("visual", self.visual)):
-            if not np.isfinite(features).all():
-                raise ValueError("non-finite %s feature value" % name)
+        if finite is None:
+            finite = all(np.isfinite(features).all()
+                         for features in (self.audio, self.visual))
+        if not finite:
+            name = "audio" if not np.isfinite(self.audio).all() else "visual"
+            raise ValueError("non-finite %s feature value" % name)
 
 
 def write_features(seq: FeatureSequence, path) -> None:
@@ -123,14 +129,17 @@ def read_features(path) -> FeatureSequence:
     c = reader.u32()
     if c > binio.U16_MAX:  # labels are stored as u16, as write_features requires
         raise binio.DimensionOverflowError("C", c, binio.U16_MAX)
-    audio = reader.array("<f4", t * d_a).reshape(t, d_a).astype(np.float32)
-    visual = reader.array("<f4", t * d_v).reshape(t, d_v).astype(np.float32)
+    # The audio and visual blocks are adjacent: one copy and one
+    # finiteness pass over both.
+    features = reader.array("<f4", t * d_a, t * d_v).astype(np.float32)
+    audio = features[:t * d_a].reshape(t, d_a)
+    visual = features[t * d_a:].reshape(t, d_v)
     labels = reader.array("<u2", t).astype(np.int64)
     reader.expect_eof()
     seq = FeatureSequence(video_id=path.stem, audio=audio, visual=visual,
                           labels=labels, num_events=c)
     try:
-        seq.validate()
+        seq.validate(bool(np.isfinite(features).all()))
     except ValueError as exc:
         raise binio.FormatError("%s: %s" % (path, exc)) from exc
     return seq

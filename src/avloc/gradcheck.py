@@ -104,6 +104,8 @@ def run_gradcheck(seed: int = 0, eps: float = 1e-5,
     video_labels = [model_mod.video_label_from_segments(seq.labels, c)
                     for seq in seqs]
     weight = trainer.TrainConfig().aux_weight
+    # Each finite difference runs forward only, one video after another.
+    buffers = model_mod.ModelBuffers.for_model(params, TINY_STEPS)
 
     def run(init_mode, setting):
         dec_init, use_aux = trainer.INIT_MODES[init_mode]
@@ -120,7 +122,8 @@ def run_gradcheck(seed: int = 0, eps: float = 1e-5,
         def value():
             total = 0.0
             for seq, target, video_label in zip(seqs, targets, video_labels):
-                trace = model_mod.forward(params, seq.audio, seq.visual, dec_init)
+                trace = model_mod.forward(params, seq.audio, seq.visual, dec_init,
+                                          buffers=buffers)
                 total += objective(trace, target)[0]
                 if aux is not None:
                     total += trainer.aux_objective(aux, trace, video_label,

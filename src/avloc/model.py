@@ -14,13 +14,15 @@ flow through the decoder, the fusion block and both encoders.
 
 `project_inputs` computes the three LSTMs' input projections for the
 segments of any number of videos at once; `forward` takes one video's
-rows of them, or projects the video itself.  `model_backward` returns one
+rows of them, or projects the video itself, and runs its unrolls in the
+`ModelBuffers` it is given, or in new ones.  `model_backward` returns one
 video's gradient in factored form (`tree.RowGrads`), which a trainer
 reduces with those of the other videos of its minibatch.
 """
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from . import fusion as fusion_mod
 from . import lstm as lstm_mod
 from . import ops
 from .fusion import FusionParams, FusionTrace
-from .lstm import LstmParams, LstmState, LstmTrace, _glorot
+from .lstm import LstmBuffers, LstmParams, LstmState, LstmTrace, _glorot
 from .ops import ShapeError
 from .tree import ParamTree, RowGrads, Rows
 
@@ -101,6 +103,29 @@ def cast_model(params: ModelParams, dtype) -> ModelParams:
     return params.map(lambda arr: arr.astype(dtype))
 
 
+class ModelBuffers(NamedTuple):
+    """The `lstm.LstmBuffers` of the audio encoder, the visual encoder and
+    the decoder, for videos of one length.  `forward` writes its three
+    unrolls into them, so its trace holds until the next forward pass with
+    the same buffers."""
+
+    audio: LstmBuffers
+    visual: LstmBuffers
+    decoder: LstmBuffers
+
+    @classmethod
+    def for_model(cls, params: ModelParams, steps: int) -> "ModelBuffers":
+        """Buffers for videos of `steps` segments at the model's h and dtype."""
+        dtype = params.decoder.w.dtype
+        return cls(*(LstmBuffers(steps, params.hidden_size, dtype)
+                     for _ in range(3)))
+
+    def slot(self) -> "ModelBuffers":
+        """Buffers that share all but the rows a minibatch keeps
+        (`LstmBuffers.slot`) with these."""
+        return ModelBuffers(*(buffers.slot() for buffers in self))
+
+
 @dataclass
 class PredictionTrace:
     """Everything the forward pass computed, cached for the backward pass."""
@@ -141,20 +166,26 @@ def project_inputs(params: ModelParams, audios: list, visuals: list) -> list:
 
 def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
             init_mode: DecoderInit = DecoderInit.FUSION,
-            proj: tuple | None = None) -> PredictionTrace:
+            proj: tuple | None = None,
+            buffers: ModelBuffers | None = None) -> PredictionTrace:
     """Run the full model over one video.
 
     audio: (T, d_a) features, visual: (T, d_v) features, same T.  proj,
     when given, is the video's entry of `project_inputs` over a list of
     videos; without it each LSTM projects the video's inputs itself.
+    buffers, when given, are ModelBuffers for this T that the three
+    unrolls write into; without them each unroll allocates its own.
     """
     if audio.ndim != 2 or visual.ndim != 2 or audio.shape[0] != visual.shape[0]:
         raise ShapeError("forward", audio.shape, visual.shape)
     if audio.shape[0] == 0:
         raise ValueError("forward: empty sequence")
     za, zv, zd = (None, None, None) if proj is None else proj
-    a_state, a_trace = lstm_mod.run_lstm(params.enc_audio, audio, zx=za)
-    v_state, v_trace = lstm_mod.run_lstm(params.enc_visual, visual, zx=zv)
+    ba, bv, bd = (None, None, None) if buffers is None else buffers
+    a_state, a_trace = lstm_mod.run_lstm(params.enc_audio, audio, zx=za,
+                                         buffers=ba)
+    v_state, v_trace = lstm_mod.run_lstm(params.enc_visual, visual, zx=zv,
+                                         buffers=bv)
 
     fusion_trace = None
     if init_mode is DecoderInit.FUSION:
@@ -168,7 +199,7 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
 
     dec_inputs = np.concatenate([audio, visual], axis=1)
     _, dec_trace = lstm_mod.run_lstm(params.decoder, dec_inputs, init=dec_init,
-                                     zx=zd)
+                                     zx=zd, buffers=bd)
 
     logits = dec_trace.h @ params.out_w.T + params.out_b
     probs = ops.softmax(logits)

@@ -3,15 +3,17 @@
 Per minibatch, the trainer stacks the videos' segments and computes each
 LSTM's input projection once for all of them.  Each video then runs its
 own recurrence: forward, objective and a backward pass that returns its
-gradient in factored form, as rows (`tree.Rows`).  One reduction over the
-rows of the whole batch gives the mean gradient, one matrix product or
-column sum per stored array, and Adam with global-norm clipping applies
-it.  Every trainable array lives in one flat buffer and the reduction
-writes into a second one laid out the same way, so that Adam steps over
-all of them at once (`optim`).  Evaluation projects streamed chunks of
-EVAL_CHUNK videos the same way.  Runs are deterministic for a fixed
-seed: shuffling comes from one seeded generator and the rows are stacked
-in shuffled video order.
+gradient in factored form, as rows (`tree.Rows`).  The recurrences write
+into LSTM buffers that a run allocates once (`model.ModelBuffers`), and
+evaluation into buffers allocated once per split.  One reduction over
+the rows of the whole batch gives the mean gradient, one matrix product
+or column sum per stored array, and Adam with global-norm clipping
+applies it.  Every trainable array lives in one flat buffer and the
+reduction writes into a second one laid out the same way, so that Adam
+steps over all of them at once (`optim`).  Evaluation projects streamed
+chunks of EVAL_CHUNK videos the same way.  Runs are deterministic for a
+fixed seed: shuffling comes from one seeded generator and the rows are
+stacked in shuffled video order.
 
 Decoder-initialization modes mirror the ablation table: the full fusion
 path, a single modality's final state, or "label_guided", which sums both
@@ -31,7 +33,7 @@ from . import model as model_mod
 from . import optim
 from .data import ConfigError, DatasetManifest
 from .fusion import MlpParams
-from .model import DecoderInit, ModelParams
+from .model import DecoderInit, ModelBuffers, ModelParams
 from .ops import Precision
 from .tree import ParamTree, RowGrads, flat_views, pack, reduce_rows
 
@@ -174,13 +176,16 @@ def evaluate_params(params: ModelParams, sequences: list, class_names: list,
                          % (params.num_events + 1, len(class_names)))
     predictions = []
     labels = []
+    buffers = {}  # one ModelBuffers per sequence length, for the whole split
     for start in range(0, len(sequences), EVAL_CHUNK):
         chunk = sequences[start:start + EVAL_CHUNK]
         projections = model_mod.project_inputs(
             params, [seq.audio for seq in chunk], [seq.visual for seq in chunk])
         for seq, proj in zip(chunk, projections):
+            if seq.length not in buffers:
+                buffers[seq.length] = ModelBuffers.for_model(params, seq.length)
             trace = model_mod.forward(params, seq.audio, seq.visual, init_mode,
-                                      proj)
+                                      proj, buffers[seq.length])
             predictions.append(model_mod.predict_segments(trace))
             labels.append(seq.labels)
     predictions = np.concatenate(predictions) if predictions else np.zeros(0, np.int64)
@@ -257,13 +262,15 @@ class TrainResult:
 def _minibatch_grads(params: ModelParams, seqs: list, video_labels: list,
                      setting: str, dec_init: DecoderInit,
                      aux: AuxHeads | None, aux_weight: float,
-                     out: list | None = None):
+                     out: list | None = None, slots: list | None = None):
     """One minibatch: the summed loss of its videos and their mean gradient,
     dense, as (loss, model grads, head grads or None).  A video's target is
     its segment labels in the supervised setting and its video_labels entry
     in the weak setting.  Every stored array's gradient is one product or
     column sum over the batch's stacked rows, written into the arrays of
-    the bundles in `out` (model, then heads) when it is given."""
+    the bundles in `out` (model, then heads) when it is given.  `slots`,
+    when given, holds at least one ModelBuffers slot (`ModelBuffers.slot`)
+    per video, in which its forward pass runs."""
     supervised = setting == "supervised"
     objective = (model_mod.supervised_objective if supervised
                  else model_mod.weak_objective)
@@ -271,8 +278,10 @@ def _minibatch_grads(params: ModelParams, seqs: list, video_labels: list,
         params, [seq.audio for seq in seqs], [seq.visual for seq in seqs])
     total = 0.0
     model_rows, head_rows = [], []
-    for seq, video_label, proj in zip(seqs, video_labels, projections):
-        trace = model_mod.forward(params, seq.audio, seq.visual, dec_init, proj)
+    for seq, video_label, proj, buffers in zip(
+            seqs, video_labels, projections, slots or [None] * len(seqs)):
+        trace = model_mod.forward(params, seq.audio, seq.visual, dec_init, proj,
+                                  buffers)
         loss, dlogits = objective(trace, seq.labels if supervised else video_label)
         extra = {}
         if aux is not None:
@@ -330,6 +339,13 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
     grad_views = {name: arr for bundle in grad_bundles
                   for name, arr in bundle.arrays()}
     opt_state = optim.AdamState.for_params(opt_params)
+    # One set of LSTM buffers for the whole run: every minibatch video gets
+    # its own h and dZ rows, which the reduction reads after the batch,
+    # and shares the rest (`ModelBuffers.slot`).  load_split holds every
+    # video of a split to the manifest's T.
+    first = ModelBuffers.for_model(params, manifest.num_segments)
+    slots = [first] + [first.slot()
+                       for _ in range(min(cfg.batch_size, len(train_seqs)) - 1)]
 
     result = TrainResult(params=params, config=cfg)
     best_params = None
@@ -344,7 +360,7 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
             loss, _, _ = _minibatch_grads(
                 params, [train_seqs[i] for i in batch],
                 [video_labels[i] for i in batch],
-                cfg.setting, dec_init, aux, cfg.aux_weight, grad_bundles)
+                cfg.setting, dec_init, aux, cfg.aux_weight, grad_bundles, slots)
             epoch_loss += loss
             optim.adam_step(opt_params, opt_grads, grad_views, opt_state,
                             cfg.lr, cfg.clip_norm)

@@ -97,6 +97,21 @@ def test_read_rejects_truncated_and_trailing(tmp_path):
         data.read_features(path)
 
 
+@pytest.mark.parametrize("block,keep", [("audio", 22 + 5), ("visual", 22 + 36 + 5),
+                                        ("labels", 22 + 36 + 48 + 1)])
+def test_a_truncated_block_is_named_by_its_own_offset(tmp_path, block, keep):
+    """The audio and visual blocks are read as one array, but a cut in
+    either raises where reading them one at a time would."""
+    path = tmp_path / "x.avsd"
+    data.write_features(make_seq(t=3, d_a=3, d_v=4), path)
+    path.write_bytes(path.read_bytes()[:keep])
+    start, size = {"audio": (22, 36), "visual": (58, 48), "labels": (106, 6)}[block]
+    with pytest.raises(binio.TruncatedFileError) as info:
+        data.read_features(path)
+    assert (info.value.offset, info.value.needed, info.value.available) == (
+        start, size, keep - start)
+
+
 def test_read_rejects_out_of_range_label(tmp_path):
     path = tmp_path / "x.avsd"
     seq = make_seq(t=2, d_a=1, d_v=1, c=1)

@@ -6,8 +6,10 @@ arithmetic, and the slow forms cost two to four times a ufunc called with
 an output buffer: an in-place operator (`x += y`), a binary operator (`a *
 b`, which also allocates its result) and `np.concatenate`.  A call into a
 function of the package costs a Python frame per step, and the
-benchmark's tracer wraps every public one in a span.  The check reads the
-syntax tree of `lstm.py`.
+benchmark's tracer wraps every public one in a span.  A subscript, as in
+`gates[t]` or `z[:h]`, makes a new view each step; the row views come
+prebuilt from `lstm.LstmBuffers` instead.  The check reads the syntax
+tree of `lstm.py`.
 """
 
 import ast
@@ -68,6 +70,8 @@ def loop_violations(fn: ast.FunctionDef, package_names: set) -> list:
                 found.append((node.lineno, "augmented assignment"))
             elif isinstance(node, ast.BinOp):
                 found.append((node.lineno, "binary operator"))
+            elif isinstance(node, ast.Subscript):
+                found.append((node.lineno, "subscript"))
             elif isinstance(node, ast.Call) and _callee(node.func) is not None:
                 name, numpy = _callee(node.func)
                 if isinstance(node.func, ast.Name) and name in aliases:
@@ -104,8 +108,19 @@ def step(u, zs, c, f, ig):
         ops.sigmoid(z, out=z)
         sig(z)
         np.tanh(c, c)
+        np.tanh(zs[0], c)
 '''
     found = loop_violations(_functions(source)["step"], {"sigmoid"})
     assert [what for _, what in found] == [
         "augmented assignment", "binary operator", "np.concatenate",
-        "call to avloc's sigmoid", "call to avloc's sigmoid"]
+        "call to avloc's sigmoid", "call to avloc's sigmoid", "subscript"]
+
+
+def test_the_guard_catches_a_row_taken_in_the_step_loop():
+    """lstm.py itself, with the unroll writing its candidate gate into
+    `gates[t]` instead of the prebuilt row view."""
+    source = (SRC / "lstm.py").read_text(encoding="utf-8")
+    assert source.count("tanh(z_g, g)") == 1
+    mutant = source.replace("tanh(z_g, g)", "tanh(z_g, gates[t])")
+    found = loop_violations(_functions(mutant)["run_lstm"], _package_names())
+    assert [what for _, what in found] == ["subscript"]

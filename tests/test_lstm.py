@@ -396,3 +396,88 @@ def test_tensors_are_contiguous_views_of_the_packed_arrays(tmp_path):
     dict(params.tensors())["enc_audio.wi"][...] += 0.5
     after = lstm.run_lstm(params.enc_audio, xs)[0].h
     assert not np.array_equal(before, after)
+
+
+def _run_and_backprop(p, xs, init, dh_steps, dh_final, dc_final, buffers):
+    """Forward and BPTT of one sequence, and every array they leave: the
+    trace's rows, the final state, dZ, the h_{t-1} rows and dh0, dc0."""
+    state, trace = lstm.run_lstm(p, xs, init=init, buffers=buffers)
+    grads, dh0, dc0 = lstm.lstm_sequence_backward(
+        p, trace, dh_steps=dh_steps, dh_final=dh_final, dc_final=dc_final)
+    return [trace.gates, trace.hs, trace.cs, trace.tanh_c, state.h, state.c,
+            grads.w.g, grads.u.x, grads.b.g, dh0, dc0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h", [1, 4, 32, 128])
+def test_reused_buffers_give_the_bits_of_fresh_ones(h, dtype):
+    """Three videos through one bundle, each with another mix of initial
+    state and outside gradients, against a fresh bundle per call."""
+    steps, d = 7, 5
+    rng = np.random.default_rng(h)
+    p = lstm.init_lstm_params(d, h, rng, dtype)
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    videos = [(draw(steps, d), lstm.LstmState(draw(h), draw(h)), draw(steps, h),
+               draw(h), draw(h)),
+              (draw(steps, d), None, None, draw(h), draw(h)),
+              (draw(steps, d), None, draw(steps, h), None, None)]
+    shared = lstm.LstmBuffers(steps, h, dtype)
+    for args in videos:
+        got = _run_and_backprop(p, *args, buffers=shared)
+        want = _run_and_backprop(p, *args, buffers=None)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_bundle_of_another_shape_or_dtype_is_refused():
+    p = make_params(d=3, h=4)
+    xs = np.zeros((5, 3))
+    for steps, h, dtype in ((6, 4, np.float64), (5, 3, np.float64),
+                            (5, 4, np.float32)):
+        with pytest.raises(ops.ShapeError):
+            lstm.run_lstm(p, xs, buffers=lstm.LstmBuffers(steps, h, dtype))
+    lstm.run_lstm(p, xs, buffers=lstm.LstmBuffers(5, 4, np.float64))
+
+
+def test_states_and_initial_state_grads_outlive_their_buffers():
+    """A later call with the same buffers (or a slot of them) overwrites
+    the trace, but not the final state or dh0 and dc0 it returned."""
+    rng = np.random.default_rng(8)
+    p = make_params(seed=8, d=3, h=4)
+    buffers = lstm.LstmBuffers(5, 4, np.float64)
+    slot = buffers.slot()
+    state, trace = lstm.run_lstm(p, rng.standard_normal((5, 3)), buffers=buffers)
+    _, dh0, dc0 = lstm.lstm_sequence_backward(p, trace, dh_final=rng.standard_normal(4))
+    kept = [arr.copy() for arr in (state.h, state.c, dh0, dc0)]
+    for arr in (state.h, state.c, dh0, dc0):
+        for buf in vars(buffers).values():
+            assert not (isinstance(buf, np.ndarray) and np.shares_memory(arr, buf))
+    for again in (buffers, slot):
+        _, trace = lstm.run_lstm(p, rng.standard_normal((5, 3)),
+                                 init=lstm.LstmState(dh0, dc0), buffers=again)
+        lstm.lstm_sequence_backward(p, trace, dh_steps=rng.standard_normal((5, 4)),
+                                    dh_final=state.h, dc_final=state.c)
+    for arr, old in zip((state.h, state.c, dh0, dc0), kept):
+        assert arr.tobytes() == old.tobytes()
+
+
+def test_a_slot_keeps_its_own_h_and_dz_rows_and_shares_the_rest():
+    p = make_params(seed=9, d=3, h=4)
+    rng = np.random.default_rng(9)
+    first = lstm.LstmBuffers(5, 4, np.float64)
+    second = first.slot()
+    assert second.gates is first.gates and second.coef is first.coef
+    assert not np.shares_memory(second.hs, first.hs)
+    assert not np.shares_memory(second.dz, first.dz)
+    results = []
+    for buffers in (first, second):
+        _, trace = lstm.run_lstm(p, rng.standard_normal((5, 3)), buffers=buffers)
+        grads, _, _ = lstm.lstm_sequence_backward(p, trace, dh_final=np.ones(4))
+        results.append((trace.h.copy(), grads.w.g.copy()))
+        assert grads.w.g is buffers.dz and np.shares_memory(grads.u.x, buffers.hs)
+    # The first video's h and dZ rows are as its own calls left them.
+    assert np.array_equal(first.hs[1:], results[0][0])
+    assert np.array_equal(first.dz, results[0][1])

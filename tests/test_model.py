@@ -6,6 +6,7 @@ import pytest
 
 from avloc import model, ops, trainer
 from avloc.model import DecoderInit
+from avloc.tree import reduce_rows
 
 import _reference as ref
 
@@ -274,3 +275,47 @@ def test_gradient_bundles_mirror_the_parameter_trees(mode):
     y = model.video_label_from_segments(labels, params.num_events)
     _, head_grads, _, _ = trainer.aux_objective(heads, trace, y, 0.5)
     _same_tree(head_grads, heads)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", list(DecoderInit))
+def test_a_minibatch_through_buffer_slots_is_bitwise_fresh_buffers(mode, dtype):
+    """Three videos run forward and backward one after another, as the
+    trainer runs them, each in a slot of one ModelBuffers; their gradient
+    rows, reduced after the last, and their logits and states equal those
+    of calls that allocate their own buffers."""
+    params = model.cast_model(make_model(seed=14), dtype)
+    aux = trainer.init_aux_heads(params.hidden_size, params.num_events,
+                                 np.random.default_rng(16), dtype)
+    videos = [make_inputs(params, seed=114 + k) for k in range(3)]
+    first = model.ModelBuffers.for_model(params, 6)
+    slots = [first, first.slot(), first.slot()]
+
+    def run(buffers):
+        rows, head_rows, outputs = [], [], []
+        for (audio, visual, labels), slot in zip(videos, buffers):
+            trace = model.forward(params, audio.astype(dtype),
+                                  visual.astype(dtype), mode, buffers=slot)
+            _, dlogits = model.supervised_objective(trace, labels)
+            y = model.video_label_from_segments(labels, params.num_events)
+            _, head_grads, dh_a, dh_v = trainer.aux_objective(
+                aux, trace, y.astype(dtype), 0.5)
+            grads, _ = model.model_backward(trace, dlogits, extra_dh_audio=dh_a,
+                                            extra_dh_visual=dh_v)
+            rows.append(grads.bundle)
+            head_rows.append(head_grads.bundle)
+            outputs += [trace.logits, trace.audio_state.h, trace.visual_state.c]
+        dense = [arr for bundle in (reduce_rows(rows), reduce_rows(head_rows))
+                 for _, arr in bundle.tensors()]
+        return outputs + dense
+
+    for got, want in zip(run(slots), run([None] * 3)):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def test_forward_refuses_buffers_of_another_length():
+    params = make_model()
+    audio, visual, _ = make_inputs(params, steps=6)
+    with pytest.raises(ops.ShapeError):
+        model.forward(params, audio, visual,
+                      buffers=model.ModelBuffers.for_model(params, 5))

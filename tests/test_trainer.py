@@ -331,3 +331,48 @@ def test_a_model_just_over_the_byte_limit_is_refused_before_allocating():
         trainer.check_size(manifest, hi)
     with pytest.raises(trainer.ConfigError, match="model too large"):
         trainer.train(manifest, quick_cfg(hidden_size=hi))
+
+
+@pytest.mark.parametrize("batch_size", [5, 16])
+@pytest.mark.parametrize("init_mode,setting", [("fusion", "supervised"),
+                                               ("label_guided", "weak")])
+def test_training_through_buffer_slots_is_bitwise_fresh_buffers(
+        dataset, monkeypatch, init_mode, setting, batch_size):
+    """12 training videos: a ragged last minibatch of 2 at batch size 5,
+    and one minibatch smaller than the batch size at 16."""
+    cfg = quick_cfg(init_mode=init_mode, setting=setting, epochs=3,
+                    batch_size=batch_size)
+    slotted = trainer.train(dataset, cfg)
+    minibatch = trainer._minibatch_grads
+
+    def fresh(*args, slots=None):
+        return minibatch(*args[:8])
+
+    monkeypatch.setattr(trainer, "_minibatch_grads", fresh)
+    want = trainer.train(dataset, cfg)
+    assert ([(e.loss, e.val_accuracy) for e in slotted.history]
+            == [(e.loss, e.val_accuracy) for e in want.history])
+    for (name, got), (_, arr) in zip(slotted.params.tensors(), want.params.tensors()):
+        assert got.tobytes() == arr.tobytes(), name
+
+
+def test_evaluation_over_mixed_lengths_is_the_per_video_report():
+    """evaluate_params takes sequences of any lengths; each length gets
+    buffers of its own."""
+    rng = np.random.default_rng(17)
+    params = model.init_model_params(6, 5, 8, 2, rng, np.float32)
+    seqs = [data.FeatureSequence(
+        "v%d" % k, rng.standard_normal((steps, 6)).astype(np.float32),
+        rng.standard_normal((steps, 5)).astype(np.float32),
+        rng.integers(0, 3, size=steps), 2)
+        for k, steps in enumerate([6, 4, 6, 1, 4, 9, 6])]
+    names = ["a", "b", "background"]
+    for mode in DecoderInit:
+        report = trainer.evaluate_params(params, seqs, names, mode)
+        preds = np.concatenate([model.predict_segments(
+            model.forward(params, s.audio, s.visual, mode)) for s in seqs])
+        labels = np.concatenate([s.labels for s in seqs])
+        assert report.accuracy == data.frame_accuracy(preds, labels)
+        assert [(s.total, s.correct) for s in report.per_class] == [
+            ((labels == k).sum(), ((preds == k) & (labels == k)).sum())
+            for k in range(3)]
