@@ -14,6 +14,9 @@ C, d_a, d_v, T and the comma-separated event category names; every later
 non-empty line is one record `video_id<TAB>split<TAB>path` where split is
 train, val or test and path is resolved relative to the manifest's
 directory.
+
+`iter_split` reads a split's files one at a time, as evaluation streams
+them; `load_split` holds the whole split, as training does.
 """
 
 import math
@@ -31,7 +34,8 @@ SPLITS = ("train", "val", "test")
 
 # The most memory one allocation that a config or manifest asks for may
 # take: an array of synthetic data, a split's features as `load_split`
-# holds them, or the model's flat parameter buffer in float64.  Checked
+# holds them (only training holds a whole split; evaluation streams it),
+# or the model's flat parameter buffer in float64.  Checked
 # before anything is allocated, so an oversized request fails at once.
 MAX_BYTES = 1 << 30
 
@@ -271,10 +275,10 @@ def read_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def load_split(manifest: DatasetManifest, split: str) -> list:
-    """Read every feature file of a split, in manifest order."""
+def iter_split(manifest: DatasetManifest, split: str):
+    """Yield a split's feature files one at a time, in manifest order, each
+    read when it is asked for and checked against the manifest's dims."""
     root = manifest.root or Path(".")
-    out = []
     for e in manifest.split(split):
         seq = read_features(root / e.path)
         seq.video_id = e.video_id
@@ -288,8 +292,12 @@ def load_split(manifest: DatasetManifest, split: str) -> list:
                 % (e.path, seq.length, seq.audio_dim, seq.visual_dim,
                    seq.num_events, manifest.num_segments, manifest.audio_dim,
                    manifest.visual_dim, manifest.num_events))
-        out.append(seq)
-    return out
+        yield seq
+
+
+def load_split(manifest: DatasetManifest, split: str) -> list:
+    """Every feature file of a split, in manifest order, as one list."""
+    return list(iter_split(manifest, split))
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,9 @@ def project(params: LstmParams, xs: np.ndarray) -> np.ndarray:
     stacked over any number of sequences."""
     if xs.ndim != 2 or xs.shape[1] != params.input_size:
         raise ShapeError("lstm inputs", ("N", params.input_size), xs.shape)
-    return xs @ params.w.T + params.b
+    zx = xs @ params.w.T
+    zx += params.b
+    return zx
 
 
 def run_lstm(params: LstmParams, xs: np.ndarray,

@@ -140,11 +140,16 @@ class PredictionTrace:
     dec_trace: LstmTrace     # its xs are the (T, d_a + d_v) decoder inputs
     logits: np.ndarray       # (T, C+1)
     probs: np.ndarray        # (T, C+1), softmax per row
-    pooled: np.ndarray       # (C+1,), mean of logits
 
     @property
     def length(self) -> int:
         return self.logits.shape[0]
+
+    @property
+    def pooled(self) -> np.ndarray:
+        """(C+1,), the mean of the logits; computed when read, because only
+        the weak objective reads it."""
+        return self.logits.mean(axis=0)
 
 
 def project_inputs(params: ModelParams, audios: list, visuals: list) -> list:
@@ -152,15 +157,26 @@ def project_inputs(params: ModelParams, audios: list, visuals: list) -> list:
     decoder for a list of videos, each LSTM's in one matrix product over the
     segments of all of them.  audios[i] (T_i, d_a) and visuals[i] (T_i, d_v)
     are video i's features.  Returns, per video, the (T_i, 4h) rows of each
-    projection that `forward` takes as proj."""
-    audio, visual = np.concatenate(audios), np.concatenate(visuals)
-    if audio.ndim != 2 or visual.ndim != 2 or audio.shape[0] != visual.shape[0]:
-        raise ShapeError("project_inputs", audio.shape, visual.shape)
+    projection and the (T_i, d_a + d_v) [audio, visual] rows of the
+    decoder's inputs, which `forward` takes as proj."""
+    # Both modalities are stacked straight into the decoder's input rows,
+    # and the encoders project column views of them: no second copy.
+    d_a = params.audio_dim
+    lengths = [len(a) for a in audios]
+    joint = np.empty((sum(lengths), d_a + params.visual_dim),
+                     np.result_type(*audios, *visuals))
+    audio, visual = joint[:, :d_a], joint[:, d_a:]
+    try:
+        np.concatenate(audios, out=audio)
+        np.concatenate(visuals, out=visual)
+    except ValueError as exc:
+        raise ShapeError("project_inputs", [a.shape for a in audios],
+                         [v.shape for v in visuals]) from exc
     za = lstm_mod.project(params.enc_audio, audio)
     zv = lstm_mod.project(params.enc_visual, visual)
-    zd = lstm_mod.project(params.decoder, np.concatenate([audio, visual], axis=1))
-    bounds = np.cumsum([0] + [len(a) for a in audios]).tolist()
-    return [(za[lo:hi], zv[lo:hi], zd[lo:hi])
+    zd = lstm_mod.project(params.decoder, joint)
+    bounds = np.cumsum([0] + lengths).tolist()
+    return [(za[lo:hi], zv[lo:hi], zd[lo:hi], joint[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -172,7 +188,8 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
 
     audio: (T, d_a) features, visual: (T, d_v) features, same T.  proj,
     when given, is the video's entry of `project_inputs` over a list of
-    videos; without it each LSTM projects the video's inputs itself.
+    videos, whose decoder input rows the decoder then reads; without it
+    each LSTM projects the video's inputs itself.
     buffers, when given, are ModelBuffers for this T that the three
     unrolls write into; without them each unroll allocates its own.
     """
@@ -180,7 +197,11 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
         raise ShapeError("forward", audio.shape, visual.shape)
     if audio.shape[0] == 0:
         raise ValueError("forward: empty sequence")
-    za, zv, zd = (None, None, None) if proj is None else proj
+    if proj is None:
+        za = zv = zd = None
+        dec_inputs = np.concatenate([audio, visual], axis=1)
+    else:
+        za, zv, zd, dec_inputs = proj
     ba, bv, bd = (None, None, None) if buffers is None else buffers
     a_state, a_trace = lstm_mod.run_lstm(params.enc_audio, audio, zx=za,
                                          buffers=ba)
@@ -197,20 +218,18 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
     else:
         dec_init = LstmState(a_state.h + v_state.h, a_state.c + v_state.c)
 
-    dec_inputs = np.concatenate([audio, visual], axis=1)
     _, dec_trace = lstm_mod.run_lstm(params.decoder, dec_inputs, init=dec_init,
                                      zx=zd, buffers=bd)
 
     logits = dec_trace.h @ params.out_w.T + params.out_b
     probs = ops.softmax(logits)
-    pooled = logits.mean(axis=0)
     return PredictionTrace(
         params=params, init_mode=init_mode,
         audio_trace=a_trace, visual_trace=v_trace,
         audio_state=a_state, visual_state=v_state,
         fusion_trace=fusion_trace,
         dec_trace=dec_trace,
-        logits=logits, probs=probs, pooled=pooled,
+        logits=logits, probs=probs,
     )
 
 

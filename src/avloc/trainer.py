@@ -10,10 +10,15 @@ the rows of the whole batch gives the mean gradient, one matrix product
 or column sum per stored array, and Adam with global-norm clipping
 applies it.  Every trainable array lives in one flat buffer and the
 reduction writes into a second one laid out the same way, so that Adam
-steps over all of them at once (`optim`).  Evaluation projects streamed
-chunks of EVAL_CHUNK videos the same way.  Runs are deterministic for a
-fixed seed: shuffling comes from one seeded generator and the rows are
-stacked in shuffled video order.
+steps over all of them at once (`optim`).  The best-on-val parameters
+are one flat copy of the model's part of that buffer.  Runs are
+deterministic for a fixed seed: shuffling comes from one seeded
+generator and the rows are stacked in shuffled video order.
+
+Evaluation streams a split: it reads, projects and scores EVAL_CHUNK
+videos at a time and adds each chunk's segments to one (C+1) x (C+1)
+confusion count, from which the accuracies are read.  Training holds
+its train and val splits whole; `evaluate` holds one chunk of the split.
 
 Decoder-initialization modes mirror the ablation table: the full fusion
 path, a single modality's final state, or "label_guided", which sums both
@@ -22,6 +27,7 @@ encoder's final hidden state through a small MLP head.  The heads belong
 to the trainer, not the model, and are not part of checkpoints.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,9 +45,9 @@ from .tree import ParamTree, RowGrads, flat_views, pack, reduce_rows
 
 SETTINGS = ("supervised", "weak")
 
-# Videos per input projection in evaluation: enough rows for the product
-# to run at full speed, few enough that a split's projections are never
-# held at once.
+# Videos per input projection in evaluation, and the most videos it holds
+# at once: enough rows for the product to run at full speed, few enough
+# that a split's features and projections are never held whole.
 EVAL_CHUNK = 16
 
 # Table-3 row name -> (decoder init, auxiliary heads enabled)
@@ -157,6 +163,7 @@ class EvalReport:
     accuracy: float
     num_segments: int
     per_class: list
+    confusion: np.ndarray  # (C+1, C+1) segment counts, [label, prediction]
 
     def lines(self):
         yield "accuracy %.4f over %d segments" % (self.accuracy, self.num_segments)
@@ -168,40 +175,83 @@ class EvalReport:
                 yield "  %-16s %4d/%-4d    -" % (stat.name, 0, 0)
 
 
-def evaluate_params(params: ModelParams, sequences: list, class_names: list,
-                    init_mode: DecoderInit = DecoderInit.FUSION) -> EvalReport:
-    """Frame accuracy plus a per-class breakdown over the given videos."""
-    if len(class_names) != params.num_events + 1:
-        raise ValueError("expected %d class names, got %d"
-                         % (params.num_events + 1, len(class_names)))
+def _check_counts(num_events: int) -> None:
+    """Refuse a C whose (C+1) x (C+1) int64 confusion counts take more than
+    data.MAX_BYTES, before anything is read or allocated."""
+    size = 8 * (num_events + 1) ** 2
+    if size > data_mod.MAX_BYTES:
+        raise ConfigError(
+            "too many classes: C=%d takes %d bytes of confusion counts, over "
+            "the limit of %d" % (num_events, size, data_mod.MAX_BYTES))
+
+
+def _count_chunk(params: ModelParams, videos, init_mode: DecoderInit,
+                 buffers: dict, counts: np.ndarray) -> bool:
+    """Read the next EVAL_CHUNK videos from the iterator `videos`, project
+    and score them, and add their (label, prediction) pairs to the flat
+    (C+1) x (C+1) `counts`; False once `videos` is exhausted.  The chunk's
+    videos and projections are dropped on return, before the next chunk
+    is read.  `buffers` holds one ModelBuffers per sequence length."""
+    chunk = list(itertools.islice(videos, EVAL_CHUNK))
+    if not chunk:
+        return False
+    classes = params.num_events + 1
+    projections = model_mod.project_inputs(
+        params, [seq.audio for seq in chunk], [seq.visual for seq in chunk])
     predictions = []
-    labels = []
+    for seq, proj in zip(chunk, projections):
+        if seq.length not in buffers:
+            buffers[seq.length] = ModelBuffers.for_model(params, seq.length)
+        trace = model_mod.forward(params, seq.audio, seq.visual, init_mode,
+                                  proj, buffers[seq.length])
+        predictions.append(model_mod.predict_segments(trace))
+    labels = np.concatenate([seq.labels for seq in chunk], dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= classes:
+        raise ValueError("segment labels must lie in [0, %d], got range [%d, %d]"
+                         % (classes - 1, labels.min(), labels.max()))
+    counts += np.bincount(labels * classes + np.concatenate(predictions),
+                          minlength=classes * classes)
+    return True
+
+
+def evaluate_params(params: ModelParams, sequences, class_names: list,
+                    init_mode: DecoderInit = DecoderInit.FUSION) -> EvalReport:
+    """Frame accuracy plus a per-class breakdown over the given videos.
+
+    `sequences` may be any iterable of FeatureSequences, a generator
+    included.  It is read EVAL_CHUNK videos at a time, and each chunk's
+    segments are added to one confusion count, so that no more than a
+    chunk of videos, their projections and the counts are held at once.
+    """
+    classes = params.num_events + 1
+    if len(class_names) != classes:
+        raise ValueError("expected %d class names, got %d"
+                         % (classes, len(class_names)))
+    _check_counts(params.num_events)
+    counts = np.zeros(classes * classes, np.int64)
     buffers = {}  # one ModelBuffers per sequence length, for the whole split
-    for start in range(0, len(sequences), EVAL_CHUNK):
-        chunk = sequences[start:start + EVAL_CHUNK]
-        projections = model_mod.project_inputs(
-            params, [seq.audio for seq in chunk], [seq.visual for seq in chunk])
-        for seq, proj in zip(chunk, projections):
-            if seq.length not in buffers:
-                buffers[seq.length] = ModelBuffers.for_model(params, seq.length)
-            trace = model_mod.forward(params, seq.audio, seq.visual, init_mode,
-                                      proj, buffers[seq.length])
-            predictions.append(model_mod.predict_segments(trace))
-            labels.append(seq.labels)
-    predictions = np.concatenate(predictions) if predictions else np.zeros(0, np.int64)
-    labels = np.concatenate(labels) if labels else np.zeros(0, np.int64)
-    per_class = []
-    for idx, name in enumerate(class_names):
-        mask = labels == idx
-        per_class.append(ClassStat(name=name, total=int(mask.sum()),
-                                   correct=int((predictions[mask] == idx).sum())))
-    accuracy = data_mod.frame_accuracy(predictions, labels) if labels.size else float("nan")
-    return EvalReport(accuracy=accuracy, num_segments=int(labels.size),
-                      per_class=per_class)
+    videos = iter(sequences)
+    while _count_chunk(params, videos, init_mode, buffers, counts):
+        pass
+    confusion = counts.reshape(classes, classes)
+    totals, correct = confusion.sum(axis=1), confusion.diagonal()
+    per_class = [ClassStat(name=name, total=int(totals[idx]),
+                           correct=int(correct[idx]))
+                 for idx, name in enumerate(class_names)]
+    # An exact count over an exact count, correctly rounded: the bits of
+    # the mean of the per-segment matches.
+    num_segments = int(totals.sum())
+    accuracy = (int(correct.sum()) / num_segments if num_segments
+                else float("nan"))
+    return EvalReport(accuracy=accuracy, num_segments=num_segments,
+                      per_class=per_class, confusion=confusion)
 
 
 def evaluate(params: ModelParams, manifest: DatasetManifest, split: str,
              init_mode: DecoderInit = DecoderInit.FUSION) -> EvalReport:
+    """`evaluate_params` over a manifest split, streamed from its feature
+    files.  The checkpoint's dims and the split's size are checked before
+    any file is read."""
     if params.audio_dim != manifest.audio_dim or params.visual_dim != manifest.visual_dim:
         raise data_mod.ManifestError(
             "checkpoint dims (d_a=%d, d_v=%d) do not match manifest (d_a=%d, d_v=%d)"
@@ -210,10 +260,10 @@ def evaluate(params: ModelParams, manifest: DatasetManifest, split: str,
     if params.num_events != manifest.num_events:
         raise data_mod.ManifestError("checkpoint has C=%d events, manifest has C=%d"
                                      % (params.num_events, manifest.num_events))
-    sequences = data_mod.load_split(manifest, split)
-    if not sequences:
+    if not manifest.split(split):
         raise data_mod.ManifestError("split %r has no videos" % split)
-    return evaluate_params(params, sequences, manifest.class_names(), init_mode)
+    return evaluate_params(params, data_mod.iter_split(manifest, split),
+                           manifest.class_names(), init_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +274,8 @@ def check_size(manifest: DatasetManifest, hidden_size: int) -> None:
     """Refuse a model at the manifest's dims and this hidden size whose
     parameters take more than data.MAX_BYTES in float64, as checkpoints
     hold them.  Training keeps every parameter array in one flat buffer,
-    so the bound covers the largest array and all of them together."""
+    so the bound covers the largest array and all of them together.  The
+    validation's confusion counts are held to the same bound."""
     size = 8 * model_mod.param_count(manifest.audio_dim, manifest.visual_dim,
                                      hidden_size, manifest.num_events)
     if size > data_mod.MAX_BYTES:
@@ -233,6 +284,7 @@ def check_size(manifest: DatasetManifest, hidden_size: int) -> None:
             "parameters, over the limit of %d"
             % (hidden_size, manifest.audio_dim, manifest.visual_dim,
                manifest.num_events, size, data_mod.MAX_BYTES))
+    _check_counts(manifest.num_events)
 
 
 @dataclass
@@ -348,7 +400,12 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
                        for _ in range(min(cfg.batch_size, len(train_seqs)) - 1)]
 
     result = TrainResult(params=params, config=cfg)
-    best_params = None
+    # The best-on-val parameters, laid out as the model's part of opt_params
+    # (its first `model_size` entries): allocated at the first improvement
+    # and overwritten in place at every later one.
+    model_size = model_mod.param_count(manifest.audio_dim, manifest.visual_dim,
+                                       cfg.hidden_size, manifest.num_events)
+    best = None
     since_best = 0
     class_names = manifest.class_names()
 
@@ -376,12 +433,15 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
         if log is not None:
             log(entry.line())
 
-        improved = val_seqs and (best_params is None
+        improved = val_seqs and (best is None
                                  or val_acc > result.best_val_accuracy)
         if improved:
             result.best_val_accuracy = val_acc
             result.best_epoch = epoch
-            best_params = params.map(np.copy)
+            if best is None:
+                best = opt_params[:model_size].copy()
+            else:
+                np.copyto(best, opt_params[:model_size])
             since_best = 0
         else:
             since_best += 1
@@ -389,5 +449,5 @@ def train(manifest: DatasetManifest, cfg: TrainConfig,
                 result.stopped_early = True
                 break
 
-    result.params = best_params if best_params is not None else params
+    result.params = params if best is None else flat_views(best, [params])[0]
     return result

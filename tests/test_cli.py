@@ -306,6 +306,19 @@ def user_error_argv(case, root):
         return ["eval", "--checkpoint", str(root / "model.ckpt"),
                 "--manifest", str(root / "nan_ds/manifest.txt"),
                 "--split", "test", "--init", "fusion"]
+    if case == "eval_truncated_last_file":
+        # 20 test records of one good file, then a cut copy of another: the
+        # cut file is read after a whole chunk has been scored
+        ds = root / "ds"
+        (ds / "cut.avsd").write_bytes((ds / "test_0001.avsd").read_bytes()[:-3])
+        header = [line for line in (ds / "manifest.txt").read_text().splitlines()
+                  if "\t" not in line]
+        records = ["t%d\ttest\ttest_0000.avsd" % k for k in range(20)]
+        (ds / "cut.txt").write_text("\n".join(
+            header + records + ["cut\ttest\tcut.avsd"]) + "\n")
+        return ["eval", "--checkpoint", str(root / "model.ckpt"),
+                "--manifest", str(ds / "cut.txt"), "--split", "test",
+                "--init", "fusion"]
     if case == "eval_non_finite_checkpoint":
         blob = bytearray((root / "model.ckpt").read_bytes())
         blob[22:30] = np.float64(np.nan).tobytes()  # the first parameter
@@ -331,14 +344,16 @@ def user_error_argv(case, root):
     ("eval_class_count_mismatch", "C=3"), ("eval_empty_split", "'test'"),
     ("manifest_zero_dim", "d_a"), ("features_zero_dim", "d_a"),
     ("eval_non_finite_features", "test_0000.avsd"),
+    ("eval_truncated_last_file", "truncated"),
     ("eval_non_finite_checkpoint", "enc_audio.wf"),
     ("clip_norm_file", "clip_norm"), ("clip_norm_flag", "clip_norm"),
     ("lr_flag_nan", "learning rate"), ("aux_weight_file_inf", "aux_weight")])
 def test_user_errors_exit_1_with_a_message(pipeline, capsys, case, names):
     code = cli.main(user_error_argv(case, pipeline))
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 1
     assert err.startswith("error:") and names in err
+    assert "accuracy" not in out  # no report of the videos read before it
 
 
 def test_a_value_error_from_the_program_is_not_a_user_error(pipeline, monkeypatch):

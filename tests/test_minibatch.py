@@ -1,9 +1,12 @@
 """The minibatch path against the per-video one, in float64: one input
 projection over stacked videos, and one product per stored array over the
-gradient rows of a whole batch.  Also pins how often each traced function
-runs in a training and evaluation round."""
+gradient rows of a whole batch; evaluation over a stream of videos, one
+chunk at a time.  Also pins how often each traced function runs in a
+training and evaluation round."""
 
 import math
+import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +134,71 @@ def test_evaluate_params_in_chunks_matches_a_per_video_loop():
             assert stat.name == names[idx]
             assert stat.total == (labels == idx).sum()
             assert stat.correct == ((preds == idx) & (labels == idx)).sum()
+        assert report.confusion.tolist() == [
+            [int(((labels == i) & (preds == j)).sum()) for j in range(C + 1)]
+            for i in range(C + 1)]
+
+
+def mixed_videos(count, seed):
+    """float32 videos whose lengths cycle through T, 4, 1, 9."""
+    rng = np.random.default_rng(seed)
+    lengths = [(T, 4, 1, 9)[k % 4] for k in range(count)]
+    return [data.FeatureSequence(
+        "v%d" % k, rng.uniform(-1, 1, size=(steps, D_A)).astype(np.float32),
+        rng.uniform(-1, 1, size=(steps, D_V)).astype(np.float32),
+        rng.integers(0, C + 1, size=steps), C)
+        for k, steps in enumerate(lengths)]
+
+
+def _report_bits(report):
+    return (struct.pack("<d", report.accuracy), report.num_segments,
+            [(s.name, s.total, s.correct) for s in report.per_class],
+            report.confusion.dtype, report.confusion.shape,
+            report.confusion.tobytes())
+
+
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 37])
+def test_evaluate_params_over_a_generator_is_bitwise_the_list_report(count):
+    """Split sizes around one and two chunks, every init mode, mixed T."""
+    params = model.init_model_params(D_A, D_V, H, C, np.random.default_rng(7),
+                                     np.float32)
+    seqs = mixed_videos(count, seed=count)
+    names = ["e0", "e1", "e2", "background"]
+    for mode, _ in trainer.INIT_MODES.values():
+        want = trainer.evaluate_params(params, seqs, names, mode)
+        stream = (seq for seq in seqs)
+        got = trainer.evaluate_params(params, stream, names, mode)
+        assert next(stream, None) is None
+        assert _report_bits(got) == _report_bits(want)
+        assert want.num_segments == sum(s.length for s in seqs)
+        assert want.confusion.sum() == want.num_segments
+
+
+def test_a_streamed_split_is_held_at_most_two_chunks_at_a_time():
+    """Weak references to the videos of a five-chunk stream: at every
+    yield, at most the chunk being scored and the one being read are
+    alive, and none once the report is made."""
+    count = 5 * trainer.EVAL_CHUNK
+    params = model.init_model_params(D_A, D_V, H, C, np.random.default_rng(8),
+                                     np.float32)
+    rng = np.random.default_rng(9)
+    refs, alive = [], []
+
+    def stream():
+        for k in range(count):
+            seq = data.FeatureSequence(
+                "v%d" % k, rng.uniform(-1, 1, size=(T, D_A)).astype(np.float32),
+                rng.uniform(-1, 1, size=(T, D_V)).astype(np.float32),
+                rng.integers(0, C + 1, size=T), C)
+            refs.append(weakref.ref(seq))
+            alive.append(sum(ref() is not None for ref in refs))
+            yield seq
+
+    report = trainer.evaluate_params(params, stream(), ["a", "b", "c", "d"])
+    assert report.num_segments == count * T
+    assert len(alive) == count
+    assert trainer.EVAL_CHUNK <= max(alive) <= 2 * trainer.EVAL_CHUNK
+    assert all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -376,3 +380,93 @@ def test_evaluation_over_mixed_lengths_is_the_per_video_report():
         assert [(s.total, s.correct) for s in report.per_class] == [
             ((labels == k).sum(), ((preds == k) & (labels == k)).sum())
             for k in range(3)]
+
+
+def test_evaluation_memory_does_not_grow_with_the_split(tmp_path):
+    """The traced peak of evaluate over 160 videos (T = 10, d_a + d_v = 64)
+    is within 64 KiB of its peak over 16: it holds one chunk of videos
+    and a confusion count, not the split's features or predictions."""
+    manifest = data.generate_synthetic(
+        data.SynthConfig(num_events=4, audio_dim=24, visual_dim=40,
+                         num_segments=10, train_videos=0, val_videos=0,
+                         test_videos=160, seed=11), tmp_path)
+    params = model.init_model_params(24, 40, 8, 4, np.random.default_rng(0),
+                                     np.float32)
+
+    def peak(videos):
+        split = dataclasses.replace(manifest,
+                                    entries=manifest.split("test")[:videos])
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = trainer.evaluate(params, split, "test")
+        assert report.num_segments == 10 * videos
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(16)  # first-call allocations: buffers, caches
+        small, large = peak(16), peak(160)
+    finally:
+        tracemalloc.stop()
+    assert large - small <= 64 * 1024, (small, large)
+
+
+def test_a_file_of_other_dims_mid_split_is_named(tmp_path):
+    """Streaming reads files as it scores them; a bad one in the middle of
+    a three-chunk split still fails the whole evaluation, by name."""
+    manifest = data.generate_synthetic(
+        data.SynthConfig(num_events=2, audio_dim=6, visual_dim=5,
+                         num_segments=6, train_videos=0, val_videos=0,
+                         test_videos=40, seed=12), tmp_path)
+    bad = manifest.split("test")[20]
+    data.write_features(data.FeatureSequence(
+        bad.video_id, np.zeros((6, 7), np.float32), np.zeros((6, 5), np.float32),
+        np.zeros(6, np.int64), 2), tmp_path / bad.path)
+    params = model.init_model_params(6, 5, 4, 2, np.random.default_rng(0),
+                                     np.float32)
+    with pytest.raises(data.ManifestError, match=bad.path + ": feature file dims"):
+        trainer.evaluate(params, manifest, "test")
+
+
+@pytest.mark.parametrize("accuracies,best_epoch", [((0.5, 0.4, 0.3), 1),
+                                                   ((0.3, 0.4, 0.2), 2)])
+def test_the_best_epoch_snapshot_is_a_copy(dataset, monkeypatch, accuracies,
+                                           best_epoch):
+    """With validation accuracy made to fall after the best epoch, the
+    returned parameters are those a run without validation ends with after
+    that many epochs, bit for bit: the snapshot is not a view of the
+    buffer training goes on updating, and a later improvement overwrites
+    it."""
+    evaluate_params = trainer.evaluate_params
+    epochs = iter(accuracies)
+
+    def scripted(*args):
+        return dataclasses.replace(evaluate_params(*args), accuracy=next(epochs))
+
+    # Without a val split, train returns the parameters it ends with.
+    no_val = dataclasses.replace(
+        dataset, entries=[e for e in dataset.entries if e.split != "val"])
+    want = trainer.train(no_val, quick_cfg(epochs=best_epoch))
+    last = dict(trainer.train(no_val, quick_cfg(epochs=3)).params.tensors())
+    monkeypatch.setattr(trainer, "evaluate_params", scripted)
+    result = trainer.train(dataset, quick_cfg(epochs=3))
+    assert (result.best_epoch, result.epochs_run) == (best_epoch, 3)
+    for (name, got), (_, arr) in zip(result.params.tensors(), want.params.tensors()):
+        assert got.tobytes() == arr.tobytes(), name
+    assert any(not np.array_equal(got, last[name])
+               for name, got in result.params.tensors())
+
+
+def test_confusion_counts_just_over_the_byte_limit_are_refused():
+    """(C+1)^2 int64 counts over data.MAX_BYTES: evaluation and training
+    refuse before reading or allocating anything."""
+    classes = math.isqrt(data.MAX_BYTES // 8) + 1
+    assert 8 * (classes - 1) ** 2 <= data.MAX_BYTES < 8 * classes ** 2
+    params = model.init_model_params(2, 2, 1, classes - 1, None, np.float32)
+    names = ["e%d" % k for k in range(classes)]
+    with pytest.raises(trainer.ConfigError, match="confusion counts"):
+        trainer.evaluate_params(params, iter(()), names)
+    manifest = data.DatasetManifest(num_events=classes - 1, categories=names[:-1],
+                                    audio_dim=2, visual_dim=2, num_segments=1)
+    with pytest.raises(trainer.ConfigError, match="confusion counts"):
+        trainer.check_size(manifest, 1)
