@@ -3,6 +3,7 @@
 All multi-byte values are little-endian.
 """
 
+import contextlib
 import struct
 
 import numpy as np
@@ -52,6 +53,18 @@ class DimensionOverflowError(FormatError):
         self.field = field
         self.value = value
         self.limit = limit
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Put `path` in front of the message of a FormatError raised in the
+    block, so that a reader's error names its file.  The error keeps its
+    type and attributes (offset, needed, ...)."""
+    try:
+        yield
+    except FormatError as exc:
+        exc.args = ("%s: %s" % (path, exc),)
+        raise
 
 
 class ByteReader:

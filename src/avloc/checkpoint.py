@@ -40,33 +40,33 @@ def save_model(params: ModelParams, path) -> None:
 
 def load_model(path) -> ModelParams:
     """Read a checkpoint; returns float64 parameters exactly as stored."""
-    reader = binio.ByteReader(Path(path).read_bytes())
-    magic = reader.take(4)
-    if magic != MAGIC:
-        raise binio.BadMagicError(MAGIC, magic)
-    version = reader.u16()
-    if version != VERSION:
-        raise binio.UnsupportedVersionError(VERSION, version)
-    d_a = reader.u32()
-    d_v = reader.u32()
-    h = reader.u32()
-    c = reader.u32()
-    if min(d_a, d_v, h, c) < 1:
-        raise binio.FormatError(
-            "invalid header dimensions d_a=%d d_v=%d h=%d C=%d" % (d_a, d_v, h, c))
-    # Checked before the skeleton is built, so a header with huge
-    # dimensions fails without allocating what it declares.
-    needed = 8 * param_count(d_a, d_v, h, c)
-    available = len(reader.data) - reader.offset
-    if needed > available:
-        raise binio.TruncatedFileError(reader.offset, needed, available)
-    if needed < available:
-        raise binio.TrailingDataError(reader.offset + needed, available - needed)
-    params = init_model_params(d_a, d_v, h, c, rng=None, dtype=np.float64)
-    for name, arr in params.tensors():
-        arr[...] = reader.array("<f8", arr.size).reshape(arr.shape)
-        if not np.isfinite(arr).all():
-            raise binio.FormatError("%s: non-finite value in tensor %s"
-                                    % (path, name))
-    reader.expect_eof()
-    return params
+    with binio.naming(path):
+        reader = binio.ByteReader(Path(path).read_bytes())
+        magic = reader.take(4)
+        if magic != MAGIC:
+            raise binio.BadMagicError(MAGIC, magic)
+        version = reader.u16()
+        if version != VERSION:
+            raise binio.UnsupportedVersionError(VERSION, version)
+        d_a = reader.u32()
+        d_v = reader.u32()
+        h = reader.u32()
+        c = reader.u32()
+        if min(d_a, d_v, h, c) < 1:
+            raise binio.FormatError(
+                "invalid header dimensions d_a=%d d_v=%d h=%d C=%d" % (d_a, d_v, h, c))
+        # Checked before the skeleton is built, so a header with huge
+        # dimensions fails without allocating what it declares.
+        needed = 8 * param_count(d_a, d_v, h, c)
+        available = len(reader.data) - reader.offset
+        if needed > available:
+            raise binio.TruncatedFileError(reader.offset, needed, available)
+        if needed < available:
+            raise binio.TrailingDataError(reader.offset + needed, available - needed)
+        params = init_model_params(d_a, d_v, h, c, rng=None, dtype=np.float64)
+        for name, arr in params.tensors():
+            arr[...] = reader.array("<f8", arr.size).reshape(arr.shape)
+            if not np.isfinite(arr).all():
+                raise binio.FormatError("non-finite value in tensor %s" % name)
+        reader.expect_eof()
+        return params

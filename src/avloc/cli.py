@@ -20,7 +20,7 @@ from .trainer import INIT_MODES, SETTINGS, ConfigError, TrainConfig
 
 def read_config(path) -> dict:
     """Parse `key=value` lines of UTF-8 text; blank lines and `#` comments
-    are skipped."""
+    are skipped, and a key given twice is a ConfigError."""
     text = read_text(path, ConfigError)
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -31,7 +31,10 @@ def read_config(path) -> dict:
             raise ConfigError("%s:%d: expected key=value, got %r"
                               % (path, lineno, line))
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError("%s:%d: repeated key %s" % (path, lineno, key))
+        values[key] = value.strip()
     return values
 
 

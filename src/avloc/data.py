@@ -120,33 +120,34 @@ def write_features(seq: FeatureSequence, path) -> None:
 def read_features(path) -> FeatureSequence:
     """Parse a feature file; the video id is taken from the file name stem."""
     path = Path(path)
-    reader = binio.ByteReader(path.read_bytes())
-    magic = reader.take(4)
-    if magic != MAGIC:
-        raise binio.BadMagicError(MAGIC, magic)
-    version = reader.u16()
-    if version != VERSION:
-        raise binio.UnsupportedVersionError(VERSION, version)
-    t = reader.u32()
-    d_a = reader.u32()
-    d_v = reader.u32()
-    c = reader.u32()
-    if c > binio.U16_MAX:  # labels are stored as u16, as write_features requires
-        raise binio.DimensionOverflowError("C", c, binio.U16_MAX)
-    # The audio and visual blocks are adjacent: one copy and one
-    # finiteness pass over both.
-    features = reader.array("<f4", t * d_a, t * d_v).astype(np.float32)
-    audio = features[:t * d_a].reshape(t, d_a)
-    visual = features[t * d_a:].reshape(t, d_v)
-    labels = reader.array("<u2", t).astype(np.int64)
-    reader.expect_eof()
-    seq = FeatureSequence(video_id=path.stem, audio=audio, visual=visual,
-                          labels=labels, num_events=c)
-    try:
-        seq.validate(bool(np.isfinite(features).all()))
-    except ValueError as exc:
-        raise binio.FormatError("%s: %s" % (path, exc)) from exc
-    return seq
+    with binio.naming(path):
+        reader = binio.ByteReader(path.read_bytes())
+        magic = reader.take(4)
+        if magic != MAGIC:
+            raise binio.BadMagicError(MAGIC, magic)
+        version = reader.u16()
+        if version != VERSION:
+            raise binio.UnsupportedVersionError(VERSION, version)
+        t = reader.u32()
+        d_a = reader.u32()
+        d_v = reader.u32()
+        c = reader.u32()
+        if c > binio.U16_MAX:  # labels are stored as u16, as write_features requires
+            raise binio.DimensionOverflowError("C", c, binio.U16_MAX)
+        # The audio and visual blocks are adjacent: one copy and one
+        # finiteness pass over both.
+        features = reader.array("<f4", t * d_a, t * d_v).astype(np.float32)
+        audio = features[:t * d_a].reshape(t, d_a)
+        visual = features[t * d_a:].reshape(t, d_v)
+        labels = reader.array("<u2", t).astype(np.int64)
+        reader.expect_eof()
+        seq = FeatureSequence(video_id=path.stem, audio=audio, visual=visual,
+                              labels=labels, num_events=c)
+        try:
+            seq.validate(bool(np.isfinite(features).all()))
+        except ValueError as exc:
+            raise binio.FormatError(str(exc)) from exc
+        return seq
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +433,3 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> DatasetManifest:
             manifest.entries.append(ManifestEntry(video_id, split, filename))
     write_manifest(manifest, out_dir / "manifest.txt")
     return manifest
-
-
-# ---------------------------------------------------------------------------
-# metric
-
-
-def frame_accuracy(predictions, labels) -> float:
-    """Fraction of segments whose predicted class matches the label."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape or predictions.ndim != 1:
-        raise ValueError("frame_accuracy: shape mismatch %s vs %s"
-                         % (predictions.shape, labels.shape))
-    if predictions.size == 0:
-        raise ValueError("frame_accuracy: empty input")
-    return float((predictions == labels).mean())

@@ -11,24 +11,32 @@ Both modalities pass through the same g, so the fused value is symmetric
 under swapping the audio and visual inputs.  The fused hidden/cell pair
 becomes the decoder's initial state.
 
-The two tracks' MLPs are stored track-packed, as an LSTM's gates are:
-w1 and w2 are (2, h, h), b1 and b2 are (2, h), index 0 the hidden track
-and 1 the cell track.  `tensors()` yields the per-track views under the
-names g_h.w1, ..., g_c.b2, so whatever writes through them (checkpoint
-loading, finite differences) writes into the packed arrays.  A pass
-stacks the four states as x (2 tracks, 2 modalities, h) and makes each
-product of both tracks and both modalities one batched `np.matmul`:
+An MLP pair (`MlpPair`) holds two one-hidden-layer MLPs
+y = w2 tanh(w1 x + b1) + b2, packed as an LSTM's gates are: w1
+(2, hidden, in), b1 (2, hidden), w2 (2, out, hidden) and b2 (2, out).
+It has two users, which differ only in the names of the two MLPs and in
+the output width.  The fusion block (`FusionParams`) is the pair of the
+hidden track (index 0, g_h) and the cell track (g_c), h -> h -> h; the
+trainer's label-guided heads (`trainer.AuxHeads`) are the pair of the
+audio and the visual head, h -> h -> C+1.  `tensors()` yields the
+per-MLP views under those names, g_h.w1, ..., g_c.b2, so whatever writes
+through them (checkpoint loading, finite differences) writes into the
+packed arrays.  `pair_forward` takes n one-row inputs per MLP, x
+(2, n, 1, in): the fusion block stacks the four states as (2 tracks,
+2 modalities, 1, h), the heads the two final hidden states as (2 heads,
+1, 1, h).  Each product of a pass is then one batched `np.matmul`:
 
-    forward   (2, 2, 1, h) @ (2, 1, h, h): every term a vector times a
-              matrix, as the per-track MLP applies g to a, then to v
-    backward  (2, 2, h) @ (2, h, h): every term a track's audio and
-              visual rows together, as the per-track backward stacks them
+    forward   (2, n, 1, in) @ (2, 1, in, hidden): every term a vector
+              times a matrix, as one MLP applied to one vector
+    backward  (2, n, out) @ (2, out, hidden): every term one MLP's n rows
+              together, as that MLP's backward stacks them
 
 numpy runs a batched matmul as one BLAS call per pair of matrices, the
-call that the per-track expression makes, and every other operation is
-elementwise, so the results are those of the per-track expressions bit
+call that the per-MLP expression makes, and every other operation is
+elementwise, so the results are those of the per-MLP expressions bit
 for bit (`tests/test_fusion.py` holds them to `tests/_reference.py` in
-float32 and float64 at h = 1, 4, 32 and 128).  Stacking the audio and
+float32 and float64, the fusion block at h = 1, 4, 32 and 128 and the
+heads at (h, C+1) = (32, 5) and (128, 29)).  Stacking the audio and
 visual rows of the forward pass into one matrix product instead changes
 the bits: BLAS then runs a matrix product, not two matrix-vector ones.
 Per video at h = 32, float32, one BLAS thread (2-core Xeon, numpy 2.4.6,
@@ -39,13 +47,13 @@ forward pass (15 us) but makes the backward pass work on strided views
 (19 us).
 
 Backward passes return their parameter gradients in factored form
-(`tree.Rows`), track-packed: each application of a track's MLP
-contributes one row, so a track gets two rows per video, one per
-modality.  `mlp_forward` and `mlp_backward` remain for the trainer's
-auxiliary heads.
+(`tree.Rows`), packed: each application of an MLP contributes one row,
+so a fusion track gets two rows per video, one per modality, and a head
+one.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,58 +67,12 @@ _FIELDS = ("w1", "b1", "w2", "b2")
 
 
 @dataclass
-class MlpParams(ParamTree):
-    """One-hidden-layer MLP with tanh: y = w2 @ tanh(w1 @ x + b1) + b2."""
+class MlpPair(ParamTree):
+    """Two MLPs y = w2 tanh(w1 x + b1) + b2, packed: w1 (2, hidden, in),
+    b1 (2, hidden), w2 (2, out, hidden), b2 (2, out).  A subclass names
+    the two MLPs in NAMES."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
-class MlpTrace:
-    x: np.ndarray
-    hidden: np.ndarray  # tanh(w1 @ x + b1)
-
-
-def init_mlp_params(input_size: int, hidden_size: int, output_size: int,
-                    rng: np.random.Generator, dtype=np.float64) -> MlpParams:
-    """Glorot-uniform weights, zero biases; draw order w1 then w2."""
-    return MlpParams(
-        w1=_glorot(rng, hidden_size, input_size, dtype),
-        b1=np.zeros(hidden_size, dtype=dtype),
-        w2=_glorot(rng, output_size, hidden_size, dtype),
-        b2=np.zeros(output_size, dtype=dtype),
-    )
-
-
-def mlp_forward(params: MlpParams, x: np.ndarray):
-    if x.shape[-1:] != params.w1.shape[1:]:
-        raise ShapeError("mlp_forward", params.w1.shape, x.shape)
-    hidden = np.tanh(x @ params.w1.T + params.b1)
-    y = hidden @ params.w2.T + params.b2
-    return y, MlpTrace(x, hidden)
-
-
-def mlp_backward(params: MlpParams, trace: MlpTrace, gout: np.ndarray):
-    """Backward through one application of the MLP (x, hidden and gout
-    vectors) or through n of them (each stacked as (n, .) rows).  Returns
-    (param grads as an MlpParams of `Rows`, grad wrt x shaped like x)."""
-    if gout.shape[-1] != params.w2.shape[0]:
-        raise ShapeError("mlp_backward", params.w2.shape[:1], gout.shape)
-    x, hidden, gout = (np.atleast_2d(a) for a in (trace.x, trace.hidden, gout))
-    dz1 = ops.tanh_grad(hidden, gout @ params.w2)
-    dx = dz1 @ params.w1
-    grads = MlpParams(w1=Rows(dz1, x), b1=Rows(dz1), w2=Rows(gout, hidden),
-                      b2=Rows(gout))
-    return grads, dx.reshape(trace.x.shape)
-
-
-@dataclass
-class FusionParams(ParamTree):
-    """Both tracks' MLPs y = w2 tanh(w1 x + b1) + b2, track-packed: w1 and
-    w2 (2, h, h), b1 and b2 (2, h), index 0 the hidden track."""
+    NAMES: ClassVar[tuple]
 
     w1: np.ndarray
     b1: np.ndarray
@@ -118,15 +80,56 @@ class FusionParams(ParamTree):
     b2: np.ndarray
 
     def tensors(self, prefix: str = ""):
-        """Per-track views in canonical order: w1, b1, w2, b2 of the hidden
-        track (g_h), then of the cell track (g_c)."""
-        for k, track in enumerate(TRACKS):
+        """Per-MLP views in canonical order: w1, b1, w2, b2 of the first
+        MLP, then of the second."""
+        for k, mlp in enumerate(self.NAMES):
             for name in _FIELDS:
-                yield "%s%s.%s" % (prefix, track, name), getattr(self, name)[k]
+                yield "%s%s.%s" % (prefix, mlp, name), getattr(self, name)[k]
 
-    # The optimizer names and norms the per-track arrays, as it did when
-    # each track was a bundle of its own.
+    # The optimizer names and norms the per-MLP arrays, as it did when
+    # each MLP was a bundle of its own.
     arrays = tensors
+
+
+def init_pair(cls, input_size: int, hidden_size: int, output_size: int,
+              rng: np.random.Generator, dtype=np.float64):
+    """A `cls` pair with Glorot-uniform weights and zero biases.  Draw
+    order: w1 then w2 of the first MLP, then of the second."""
+    w1, w2 = zip(*[(_glorot(rng, hidden_size, input_size, dtype),
+                    _glorot(rng, output_size, hidden_size, dtype)) for _ in range(2)])
+    return cls(w1=np.stack(w1), b1=np.zeros((2, hidden_size), dtype=dtype),
+               w2=np.stack(w2), b2=np.zeros((2, output_size), dtype=dtype))
+
+
+def pair_forward(params: MlpPair, x: np.ndarray):
+    """Apply each MLP to its n one-row inputs, x (2, n, 1, in).  Returns
+    (y (2, n, 1, out), hidden layer (2, n, 1, hidden))."""
+    if x.ndim != 4 or (x.shape[0], x.shape[3]) != (2, params.w1.shape[2]):
+        raise ShapeError("pair_forward", (2, "n", 1, params.w1.shape[2]), x.shape)
+    hidden = np.tanh(np.matmul(x, params.w1.transpose(0, 2, 1)[:, None])
+                     + params.b1[:, None, None])
+    y = (np.matmul(hidden, params.w2.transpose(0, 2, 1)[:, None])
+         + params.b2[:, None, None])
+    return y, hidden
+
+
+def pair_backward(params: MlpPair, x: np.ndarray, hidden: np.ndarray,
+                  gout: np.ndarray):
+    """Backward through pair_forward, given its inputs x (2, n, in), its
+    hidden layer (2, n, hidden) and the gradient on its output, gout
+    (2, n, out).  Returns (param grads as a pair of the same type, of
+    `Rows`, grad wrt x (2, n, in))."""
+    dz1 = ops.tanh_grad(hidden, np.matmul(gout, params.w2))
+    grads = type(params)(w1=Rows(dz1, x), b1=Rows(dz1), w2=Rows(gout, hidden),
+                         b2=Rows(gout))
+    return grads, np.matmul(dz1, params.w1)
+
+
+class FusionParams(MlpPair):
+    """The fusion block's two MLPs, h -> h -> h: index 0 the hidden track
+    (g_h), 1 the cell track (g_c)."""
+
+    NAMES = TRACKS
 
 
 @dataclass
@@ -142,10 +145,8 @@ class FusionTrace:
 def init_fusion_params(hidden_size: int, rng: np.random.Generator,
                        dtype=np.float64) -> FusionParams:
     """Two MLPs (hidden-state fusion drawn first, then cell-state fusion)."""
-    mlps = [init_mlp_params(hidden_size, hidden_size, hidden_size, rng, dtype)
-            for _ in TRACKS]
-    return FusionParams(*(np.stack([getattr(mlp, name) for mlp in mlps])
-                          for name in _FIELDS))
+    return init_pair(FusionParams, hidden_size, hidden_size, hidden_size, rng,
+                     dtype)
 
 
 def no_grads(params: FusionParams) -> FusionParams:
@@ -163,10 +164,7 @@ def fuse(params: FusionParams, audio: LstmState, visual: LstmState):
         raise ShapeError("fuse", audio.h.shape, audio.c.shape)
     # (track, modality, 1, h): each state a one-row matrix
     x = np.array(((audio.h, visual.h), (audio.c, visual.c)))[:, :, None]
-    hidden = np.tanh(np.matmul(x, params.w1.transpose(0, 2, 1)[:, None])
-                     + params.b1[:, None, None])
-    y = (np.matmul(hidden, params.w2.transpose(0, 2, 1)[:, None])
-         + params.b2[:, None, None])
+    y, hidden = pair_forward(params, x)
     m = 0.5 * (y[:, 0] + y[:, 1])
     out = np.tanh(x + m[:, None])
     fused = out[:, 0, 0] + out[:, 1, 0]
@@ -187,9 +185,7 @@ def fuse_backward(params: FusionParams, trace: FusionTrace,
     # as the two applications of the track's MLP take it (a + b is b + a
     # to the bit).
     dm = 0.5 * (dz + dz[:, ::-1])
-    dz1 = ops.tanh_grad(trace.hidden, np.matmul(dm, params.w2))
-    dstate = dz + np.matmul(dz1, params.w1)
-    grads = FusionParams(w1=Rows(dz1, trace.x), b1=Rows(dz1),
-                         w2=Rows(dm, trace.hidden), b2=Rows(dm))
+    grads, dx = pair_backward(params, trace.x, trace.hidden, dm)
+    dstate = dz + dx
     return (grads, LstmState(dstate[0, 0], dstate[1, 0]),
             LstmState(dstate[0, 1], dstate[1, 1]))

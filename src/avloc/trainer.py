@@ -23,8 +23,10 @@ its train and val splits whole; `evaluate` holds one chunk of the split.
 Decoder-initialization modes mirror the ablation table: the full fusion
 path, a single modality's final state, or "label_guided", which sums both
 final states and adds an auxiliary video-level classification loss on each
-encoder's final hidden state through a small MLP head.  The heads belong
-to the trainer, not the model, and are not part of checkpoints.
+encoder's final hidden state through a small MLP head.  The two heads are
+one packed MLP pair (`fusion.MlpPair`), run through the forward and
+backward functions of the fusion block, both heads per product.  They
+belong to the trainer, not the model, and are not part of checkpoints.
 """
 
 import itertools
@@ -38,10 +40,9 @@ from . import fusion as fusion_mod
 from . import model as model_mod
 from . import optim
 from .data import ConfigError, DatasetManifest
-from .fusion import MlpParams
 from .model import DecoderInit, ModelBuffers, ModelParams
 from .ops import Precision
-from .tree import ParamTree, RowGrads, flat_views, pack, reduce_rows
+from .tree import RowGrads, flat_views, pack, reduce_rows
 
 SETTINGS = ("supervised", "weak")
 
@@ -107,23 +108,19 @@ class TrainConfig:
 # label-guided auxiliary heads
 
 
-@dataclass
-class AuxHeads(ParamTree):
-    """Per-modality video-level classifier heads, h -> h -> C+1."""
+class AuxHeads(fusion_mod.MlpPair):
+    """Per-modality video-level classifier heads, h -> h -> C+1, packed as
+    an MLP pair: index 0 the audio head (aux_audio), 1 the visual head
+    (aux_visual)."""
 
-    aux_audio: MlpParams
-    aux_visual: MlpParams
+    NAMES = ("aux_audio", "aux_visual")
 
 
 def init_aux_heads(hidden_size: int, num_events: int, rng: np.random.Generator,
                    dtype=np.float64) -> AuxHeads:
     """Draw order: audio head, then visual head."""
-    return AuxHeads(
-        aux_audio=fusion_mod.init_mlp_params(hidden_size, hidden_size,
-                                             num_events + 1, rng, dtype),
-        aux_visual=fusion_mod.init_mlp_params(hidden_size, hidden_size,
-                                              num_events + 1, rng, dtype),
-    )
+    return fusion_mod.init_pair(AuxHeads, hidden_size, hidden_size,
+                                num_events + 1, rng, dtype)
 
 
 def aux_objective(heads: AuxHeads, trace: model_mod.PredictionTrace,
@@ -133,14 +130,14 @@ def aux_objective(heads: AuxHeads, trace: model_mod.PredictionTrace,
     Returns (weighted loss, head grads as a RowGrads, one row per head,
     d(audio final h), d(visual final h)).
     """
-    out_a, tr_a = fusion_mod.mlp_forward(heads.aux_audio, trace.audio_state.h)
-    out_v, tr_v = fusion_mod.mlp_forward(heads.aux_visual, trace.visual_state.h)
-    loss_a, dout_a = model_mod.bce_on_softmax(out_a, video_label)
-    loss_v, dout_v = model_mod.bce_on_softmax(out_v, video_label)
-    grads_a, dh_a = fusion_mod.mlp_backward(heads.aux_audio, tr_a, weight * dout_a)
-    grads_v, dh_v = fusion_mod.mlp_backward(heads.aux_visual, tr_v, weight * dout_v)
-    return (weight * (loss_a + loss_v), RowGrads(AuxHeads(grads_a, grads_v)),
-            dh_a, dh_v)
+    # (head, 1, 1, h): each head's state a one-row matrix
+    x = np.array((trace.audio_state.h, trace.visual_state.h))[:, None, None]
+    out, hidden = fusion_mod.pair_forward(heads, x)
+    loss_a, dout_a = model_mod.bce_on_softmax(out[0, 0, 0], video_label)
+    loss_v, dout_v = model_mod.bce_on_softmax(out[1, 0, 0], video_label)
+    gout = weight * np.array((dout_a, dout_v))[:, None]  # (head, 1, C+1)
+    grads, dh = fusion_mod.pair_backward(heads, x[:, :, 0], hidden[:, :, 0], gout)
+    return weight * (loss_a + loss_v), RowGrads(grads), dh[0, 0], dh[1, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ read from the package's dataclasses, LSTM gates and fusion tracks by their
 canonical tensor names (wf, uf, bf, ..., g_h.w1, ...), but only ever
 indexed elementwise.
 
-The end of the file holds a second kind of reference: the fusion block as
-per-track numpy expressions, one track and one modality at a time, as the
-package computed it before its tracks were packed.  The packed block must
-reproduce those bit for bit.
+The end of the file holds a second kind of reference: the packed MLP
+pairs (the fusion block and the label-guided heads) as per-MLP numpy
+expressions, one MLP and one input at a time, as the package computed
+them before each pair was packed.  The packed pair must reproduce those
+bit for bit.
 """
 
 import math
@@ -69,10 +70,11 @@ def mlp(p, x):
     return [v + float(p.b2[k]) for k, v in enumerate(matvec(p.w2, hidden))]
 
 
-def track_mlp(fusion, track):
-    """One fusion track's MLP (track "g_h" or "g_c") by tensor name, with
-    the attributes w1, b1, w2, b2 that `mlp` reads."""
-    t = dict(fusion.tensors())
+def track_mlp(pair, track):
+    """One MLP of a packed pair by tensor name (a fusion track "g_h" or
+    "g_c", a head "aux_audio" or "aux_visual"), with the attributes w1,
+    b1, w2, b2 that `mlp` reads."""
+    t = dict(pair.tensors())
     return SimpleNamespace(**{name: t[track + "." + name]
                               for name in ("w1", "b1", "w2", "b2")})
 
@@ -125,13 +127,22 @@ def average_pool(rows):
 
 
 # ---------------------------------------------------------------------------
-# per-track numpy expressions of the fusion block
+# per-MLP numpy expressions of the packed pairs
 
 
 def mlp_expression(g, x):
     """(y, hidden) of one MLP applied to one vector x."""
     hidden = np.tanh(x @ g.w1.T + g.b1)
     return hidden @ g.w2.T + g.b2, hidden
+
+
+def mlp_backward_expression(g, x, hidden, gout):
+    """One MLP backward, its applications stacked as rows of x, hidden and
+    gout: (grad on x, {name: (rows g, rows x or None)})."""
+    dz1 = gout @ g.w2 * (1.0 - hidden * hidden)
+    rows = {"w1": (dz1, x), "b1": (dz1, None), "w2": (gout, hidden),
+            "b2": (gout, None)}
+    return dz1 @ g.w1, rows
 
 
 def fuse_track_expression(g, a, v):
@@ -151,11 +162,7 @@ def fuse_track_backward_expression(g, a, v, gout):
     dza = gout * (1.0 - out_a * out_a)
     dzv = gout * (1.0 - out_v * out_v)
     dm = 0.5 * (dza + dzv)
-    x = np.stack((a, v))
-    hidden = np.stack((hidden_a, hidden_v))
-    dms = np.stack((dm, dm))
-    dz1 = dms @ g.w2 * (1.0 - hidden * hidden)
-    dx = dz1 @ g.w1
-    rows = {"w1": (dz1, x), "b1": (dz1, None), "w2": (dms, hidden),
-            "b2": (dms, None)}
+    dx, rows = mlp_backward_expression(g, np.stack((a, v)),
+                                       np.stack((hidden_a, hidden_v)),
+                                       np.stack((dm, dm)))
     return dza + dx[0], dzv + dx[1], rows

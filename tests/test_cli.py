@@ -25,6 +25,14 @@ def test_read_config_rejects_malformed_lines(tmp_path):
         cli.read_config(path)
 
 
+def test_read_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("lr=0.5\nhidden=9\n lr = 0.1\n")
+    with pytest.raises(ConfigError) as info:
+        cli.read_config(path)
+    assert str(info.value) == "%s:3: repeated key lr" % path
+
+
 def test_read_config_that_is_not_utf8_is_a_config_error(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_bytes(b"lr=0.5\nhidden=\xff9\n")
@@ -319,6 +327,10 @@ def user_error_argv(case, root):
         return ["eval", "--checkpoint", str(root / "model.ckpt"),
                 "--manifest", str(ds / "cut.txt"), "--split", "test",
                 "--init", "fusion"]
+    if case == "eval_truncated_checkpoint":
+        (root / "cut.ckpt").write_bytes((root / "model.ckpt").read_bytes()[:-3])
+        return ["eval", "--checkpoint", str(root / "cut.ckpt"),
+                "--manifest", manifest, "--split", "test", "--init", "fusion"]
     if case == "eval_non_finite_checkpoint":
         blob = bytearray((root / "model.ckpt").read_bytes())
         blob[22:30] = np.float64(np.nan).tobytes()  # the first parameter
@@ -344,7 +356,8 @@ def user_error_argv(case, root):
     ("eval_class_count_mismatch", "C=3"), ("eval_empty_split", "'test'"),
     ("manifest_zero_dim", "d_a"), ("features_zero_dim", "d_a"),
     ("eval_non_finite_features", "test_0000.avsd"),
-    ("eval_truncated_last_file", "truncated"),
+    ("eval_truncated_last_file", "cut.avsd: truncated"),
+    ("eval_truncated_checkpoint", "cut.ckpt: truncated"),
     ("eval_non_finite_checkpoint", "enc_audio.wf"),
     ("clip_norm_file", "clip_norm"), ("clip_norm_flag", "clip_norm"),
     ("lr_flag_nan", "learning rate"), ("aux_weight_file_inf", "aux_weight")])

@@ -289,14 +289,6 @@ def test_load_split_checks_dimensions(tmp_path):
         data.load_split(manifest, "val")
 
 
-def test_frame_accuracy():
-    assert data.frame_accuracy([0, 1, 2, 2], [0, 1, 1, 2]) == 0.75
-    with pytest.raises(ValueError):
-        data.frame_accuracy([0, 1], [0])
-    with pytest.raises(ValueError):
-        data.frame_accuracy([], [])
-
-
 def test_synth_config_validation():
     with pytest.raises(data.ConfigError):
         data.SynthConfig(num_events=8, audio_dim=8, visual_dim=24).validate()

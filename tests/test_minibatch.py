@@ -128,7 +128,7 @@ def test_evaluate_params_in_chunks_matches_a_per_video_loop():
         preds = np.concatenate([model.predict_segments(
             model.forward(params, s.audio, s.visual, mode)) for s in seqs])
         labels = np.concatenate([s.labels for s in seqs])
-        assert report.accuracy == data.frame_accuracy(preds, labels)
+        assert report.accuracy == (preds == labels).mean()  # segment accuracy
         assert report.num_segments == count * T
         for idx, stat in enumerate(report.per_class):
             assert stat.name == names[idx]

@@ -1,11 +1,11 @@
 """Property tests for the file readers.  The two binary readers,
 `data.read_features` and `checkpoint.load_model`: truncated, bit-flipped
-and re-dimensioned files fail with a `FormatError` subclass and never with
-another exception.  The two text readers, `data.read_manifest` and
-`cli.read_config` (with the options it feeds `cli.build_synth_config`):
-truncated, byte-flipped and junk-lined files fail with `ManifestError` or
-`ConfigError` and never with another exception, and a leading UTF-8
-byte-order mark changes nothing."""
+and re-dimensioned files fail with a `FormatError` subclass that names
+the file, and never with another exception.  The two text readers,
+`data.read_manifest` and `cli.read_config` (with the options it feeds
+`cli.build_synth_config`): truncated, byte-flipped and junk-lined files
+fail with `ManifestError` or `ConfigError` and never with another
+exception, and a leading UTF-8 byte-order mark changes nothing."""
 
 import codecs
 import struct
@@ -55,7 +55,11 @@ def case(request, tmp_path_factory):
 
     def read(blob: bytes):
         path.write_bytes(blob)
-        return reader(path)
+        try:
+            return reader(path)
+        except binio.FormatError as exc:
+            assert str(path) in str(exc)  # every reader error names its file
+            raise
 
     return valid, read
 
@@ -143,7 +147,11 @@ def text_case(request, tmp_path_factory):
 
     def read(blob: bytes):
         path.write_bytes(blob)
-        return reader(path)
+        try:
+            return reader(path)
+        except binio.FormatError as exc:
+            assert str(path) in str(exc)  # every reader error names its file
+            raise
 
     read(valid)
     return valid, read, error
