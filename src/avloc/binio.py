@@ -4,7 +4,9 @@ All multi-byte values are little-endian.
 """
 
 import contextlib
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +66,33 @@ def naming(path):
         yield
     except FormatError as exc:
         exc.args = ("%s: %s" % (path, exc),)
+        raise
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """Open a new file next to `path` for writing bytes, and put it in
+    place of `path` only once the block has written all of it: flushed,
+    fsynced and then moved onto `path` with `os.replace`, which swaps
+    the whole file at once.  If the block or any of those steps raises,
+    the new file is removed and `path` keeps the bytes it had, so a
+    failed or interrupted write never leaves a partial file behind.  As
+    with `open(path, "wb")`, a symlink is written through, the new file
+    gets the mode that call would give it, and an error names `path`."""
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(".%s.%s.tmp" % (target.name, os.urandom(8).hex()))
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
         raise
 
 

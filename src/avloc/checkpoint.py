@@ -12,7 +12,9 @@ Layout (little-endian):
     w2, b2, hidden-state MLP before cell-state MLP).
 
 Tensors are stored as float64 regardless of the training precision, so a
-save/load/save cycle is byte-identical.
+save/load/save cycle is byte-identical.  `save_model` writes a new file
+and moves it onto the path only when it is complete (`binio.replacing`),
+so a failed save leaves an existing checkpoint as it was.
 """
 
 from pathlib import Path
@@ -31,8 +33,9 @@ def save_model(params: ModelParams, path) -> None:
     for field, value in (("d_a", params.audio_dim), ("d_v", params.visual_dim),
                          ("h", params.hidden_size), ("C", params.num_events)):
         header.append(binio.pack_u32(value, field))
-    # Streamed tensor by tensor, so the file is never built in memory.
-    with open(path, "wb") as fh:
+    # Streamed tensor by tensor, so the file is never built in memory, into
+    # a new file that replaces `path` only once it is whole.
+    with binio.replacing(path) as fh:
         fh.write(b"".join(header))
         for _, arr in params.tensors():
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))

@@ -106,10 +106,12 @@ def pair_forward(params: MlpPair, x: np.ndarray):
     (y (2, n, 1, out), hidden layer (2, n, 1, hidden))."""
     if x.ndim != 4 or (x.shape[0], x.shape[3]) != (2, params.w1.shape[2]):
         raise ShapeError("pair_forward", (2, "n", 1, params.w1.shape[2]), x.shape)
-    hidden = np.tanh(np.matmul(x, params.w1.transpose(0, 2, 1)[:, None])
-                     + params.b1[:, None, None])
-    y = (np.matmul(hidden, params.w2.transpose(0, 2, 1)[:, None])
-         + params.b2[:, None, None])
+    # The bias adds and the tanh write into the products' own arrays.
+    hidden = np.matmul(x, params.w1.transpose(0, 2, 1)[:, None])
+    hidden += params.b1[:, None, None]
+    np.tanh(hidden, out=hidden)
+    y = np.matmul(hidden, params.w2.transpose(0, 2, 1)[:, None])
+    y += params.b2[:, None, None]
     return y, hidden
 
 
@@ -165,8 +167,11 @@ def fuse(params: FusionParams, audio: LstmState, visual: LstmState):
     # (track, modality, 1, h): each state a one-row matrix
     x = np.array(((audio.h, visual.h), (audio.c, visual.c)))[:, :, None]
     y, hidden = pair_forward(params, x)
-    m = 0.5 * (y[:, 0] + y[:, 1])
-    out = np.tanh(x + m[:, None])
+    # m = 0.5 (g(a) + g(v)) and tanh(x + m), each formed in one array
+    m = np.add(y[:, 0], y[:, 1], out=y[:, 0])
+    m *= 0.5
+    out = x + m[:, None]
+    np.tanh(out, out=out)
     fused = out[:, 0, 0] + out[:, 1, 0]
     return (LstmState(fused[0], fused[1]),
             FusionTrace(x[:, :, 0], hidden[:, :, 0], out[:, :, 0]))

@@ -18,6 +18,13 @@ rows of them, or projects the video itself, and runs its unrolls in the
 `ModelBuffers` it is given, or in new ones.  `model_backward` returns one
 video's gradient in factored form (`tree.RowGrads`), which a trainer
 reduces with those of the other videos of its minibatch.
+
+`forward` stops at the logits.  Neither objective reads the softmax of
+a trace (the supervised one forms it with its log-probabilities, the
+weak one from the pooled logits), so `PredictionTrace.probs` is computed
+only when read.  `predict_rows` holds the prediction rule, the argmax of
+the softmax; evaluation applies it once to the stacked logits of a chunk
+of videos, `predict_segments` to one video's.
 """
 
 import enum
@@ -139,11 +146,16 @@ class PredictionTrace:
     fusion_trace: FusionTrace | None
     dec_trace: LstmTrace     # its xs are the (T, d_a + d_v) decoder inputs
     logits: np.ndarray       # (T, C+1)
-    probs: np.ndarray        # (T, C+1), softmax per row
 
     @property
     def length(self) -> int:
         return self.logits.shape[0]
+
+    @property
+    def probs(self) -> np.ndarray:
+        """(T, C+1), the softmax of each row of the logits; computed when
+        read, because neither training objective nor evaluation reads it."""
+        return ops.softmax(self.logits)
 
     @property
     def pooled(self) -> np.ndarray:
@@ -221,15 +233,15 @@ def forward(params: ModelParams, audio: np.ndarray, visual: np.ndarray,
     _, dec_trace = lstm_mod.run_lstm(params.decoder, dec_inputs, init=dec_init,
                                      zx=zd, buffers=bd)
 
-    logits = dec_trace.h @ params.out_w.T + params.out_b
-    probs = ops.softmax(logits)
+    logits = np.matmul(dec_trace.h, params.out_w.T)
+    logits += params.out_b
     return PredictionTrace(
         params=params, init_mode=init_mode,
         audio_trace=a_trace, visual_trace=v_trace,
         audio_state=a_state, visual_state=v_state,
         fusion_trace=fusion_trace,
         dec_trace=dec_trace,
-        logits=logits, probs=probs,
+        logits=logits,
     )
 
 
@@ -311,27 +323,37 @@ def video_label_from_segments(labels: np.ndarray, num_events: int) -> np.ndarray
     return one_hot(labels, num_events + 1).mean(axis=0)
 
 
+def predict_rows(logits: np.ndarray) -> np.ndarray:
+    """The predicted class of each row of (N, C+1) logits: the argmax of
+    the row's softmax, the lowest index on ties.  The argmax is taken over
+    the probabilities, not the logits, because two logits that differ can
+    round to equal probabilities.  The softmax is row-wise, so rows stacked
+    over any number of videos get the predictions of each video alone."""
+    return ops.softmax(logits).argmax(axis=-1)
+
+
 def predict_segments(trace: PredictionTrace) -> np.ndarray:
-    """Per-segment argmax class; ties resolve to the lowest index."""
-    return trace.probs.argmax(axis=1)
+    """Per-segment predicted class of one video (`predict_rows`)."""
+    return predict_rows(trace.logits)
 
 
 # ---------------------------------------------------------------------------
 # objectives
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def supervised_objective(trace: PredictionTrace, labels: np.ndarray):
-    """Mean per-segment cross-entropy.  Returns (loss, dloss/dlogits)."""
+    """Mean per-segment cross-entropy.  Returns (loss, dloss/dlogits).
+
+    The log-probabilities and the probabilities share one row max, exp
+    and row sum, the operations of `ops.softmax`."""
     steps = trace.length
     labels = validate_segment_labels(labels, trace.params.num_events, steps)
-    logp = _log_softmax_rows(trace.logits)
+    shifted = trace.logits - trace.logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    sums = e.sum(axis=1, keepdims=True)
+    logp = shifted - np.log(sums)
     loss = -float(logp[np.arange(steps), labels].mean())
-    dlogits = (trace.probs - one_hot(labels, trace.params.num_events + 1)) / steps
+    dlogits = (e / sums - one_hot(labels, trace.params.num_events + 1)) / steps
     return loss, dlogits.astype(trace.logits.dtype)
 
 

@@ -17,7 +17,10 @@ generator and the rows are stacked in shuffled video order.
 
 Evaluation streams a split: it reads, projects and scores EVAL_CHUNK
 videos at a time and adds each chunk's segments to one (C+1) x (C+1)
-confusion count, from which the accuracies are read.  Training holds
+confusion count, from which the accuracies are read.  A chunk makes one
+input projection per LSTM, one forward pass per video and one prediction
+over the stacked logits of all its videos; no forward pass computes a
+softmax of its own (`model.PredictionTrace.probs` is computed when read).  Training holds
 its train and val splits whole; `evaluate` holds one chunk of the split.
 
 Decoder-initialization modes mirror the ablation table: the full fusion
@@ -187,6 +190,8 @@ def _count_chunk(params: ModelParams, videos, init_mode: DecoderInit,
     """Read the next EVAL_CHUNK videos from the iterator `videos`, project
     and score them, and add their (label, prediction) pairs to the flat
     (C+1) x (C+1) `counts`; False once `videos` is exhausted.  The chunk's
+    logits are stacked and predicted with one softmax and one argmax
+    (`model.predict_rows`), which give each video's own predictions.  The chunk's
     videos and projections are dropped on return, before the next chunk
     is read.  `buffers` holds one ModelBuffers per sequence length."""
     chunk = list(itertools.islice(videos, EVAL_CHUNK))
@@ -195,18 +200,18 @@ def _count_chunk(params: ModelParams, videos, init_mode: DecoderInit,
     classes = params.num_events + 1
     projections = model_mod.project_inputs(
         params, [seq.audio for seq in chunk], [seq.visual for seq in chunk])
-    predictions = []
+    logits = []
     for seq, proj in zip(chunk, projections):
         if seq.length not in buffers:
             buffers[seq.length] = ModelBuffers.for_model(params, seq.length)
-        trace = model_mod.forward(params, seq.audio, seq.visual, init_mode,
-                                  proj, buffers[seq.length])
-        predictions.append(model_mod.predict_segments(trace))
+        logits.append(model_mod.forward(params, seq.audio, seq.visual, init_mode,
+                                        proj, buffers[seq.length]).logits)
     labels = np.concatenate([seq.labels for seq in chunk], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError("segment labels must lie in [0, %d], got range [%d, %d]"
                          % (classes - 1, labels.min(), labels.max()))
-    counts += np.bincount(labels * classes + np.concatenate(predictions),
+    predictions = model_mod.predict_rows(np.concatenate(logits))
+    counts += np.bincount(labels * classes + predictions,
                           minlength=classes * classes)
     return True
 

@@ -1,3 +1,5 @@
+import errno
+import os
 import tracemalloc
 
 import numpy as np
@@ -107,3 +109,107 @@ def test_non_finite_parameters_are_rejected_by_name(tmp_path, name, value):
     with pytest.raises(binio.FormatError) as info:
         checkpoint.load_model(path)
     assert name in str(info.value) and str(path) in str(info.value)
+
+
+class FailingFile:
+    """A file opened by `binio.replacing` whose write call number `fail_at`
+    (counting from 1) raises ENOSPC; `calls` counts every write."""
+
+    def __init__(self, fh, fail_at, calls):
+        self.fh, self.fail_at, self.calls = fh, fail_at, calls
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.calls.append(len(data))
+        if len(self.calls) == self.fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def flush(self):
+        self.fh.flush()
+
+    def fileno(self):
+        return self.fh.fileno()
+
+
+def failing_open(monkeypatch, fail_at):
+    calls = []
+    real_open = open
+    monkeypatch.setattr(binio, "open",
+                        lambda *args: FailingFile(real_open(*args), fail_at, calls),
+                        raising=False)
+    return calls
+
+
+def plain_bytes(params):
+    """A checkpoint's bytes as the format defines them, built in memory."""
+    header = b"AVSM" + (1).to_bytes(2, "little") + b"".join(
+        v.to_bytes(4, "little") for v in (params.audio_dim, params.visual_dim,
+                                           params.hidden_size, params.num_events))
+    return header + b"".join(np.ascontiguousarray(arr, "<f8").tobytes()
+                             for _, arr in params.tensors())
+
+
+def test_a_failed_save_leaves_the_old_checkpoint_and_no_temporary(tmp_path,
+                                                                   monkeypatch):
+    old, new = make_model(seed=5), make_model(seed=6)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_model(old, path)
+    before = path.read_bytes()
+    calls = failing_open(monkeypatch, None)
+    checkpoint.save_model(old, tmp_path / "count.ckpt")
+    writes = len(calls)
+    (tmp_path / "count.ckpt").unlink()
+    assert writes == 1 + len(list(old.tensors()))  # the header, then each tensor
+    for fail_at in range(1, writes + 1):
+        failing_open(monkeypatch, fail_at)
+        with pytest.raises(OSError):
+            checkpoint.save_model(new, path)
+        assert path.read_bytes() == before, fail_at
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"], fail_at
+    monkeypatch.undo()
+
+    def no_fsync(fd):
+        raise OSError(errno.EIO, "I/O error")
+    monkeypatch.setattr(os, "fsync", no_fsync)
+    with pytest.raises(OSError):
+        checkpoint.save_model(new, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
+
+def test_a_failed_first_save_leaves_no_file(tmp_path, monkeypatch):
+    failing_open(monkeypatch, 2)
+    with pytest.raises(OSError):
+        checkpoint.save_model(make_model(), tmp_path / "m.ckpt")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_save_writes_the_format_bytes_with_a_plain_file_mode(tmp_path):
+    params = make_model(seed=7)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(b"an older file")
+    checkpoint.save_model(params, path)
+    assert path.read_bytes() == plain_bytes(params)
+    with open(tmp_path / "plain", "wb"):
+        pass
+    assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "plain"]
+
+
+def test_a_save_writes_through_a_symlink_and_names_a_missing_directory(tmp_path):
+    params = make_model(seed=8)
+    target, link = tmp_path / "target.ckpt", tmp_path / "link.ckpt"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    checkpoint.save_model(params, link)
+    assert link.is_symlink() and target.read_bytes() == plain_bytes(params)
+    missing = tmp_path / "no" / "m.ckpt"
+    with pytest.raises(FileNotFoundError) as info:
+        checkpoint.save_model(params, missing)
+    assert info.value.filename == str(missing)

@@ -117,10 +117,28 @@ def step(u, zs, c, f, ig):
 
 
 def test_the_guard_catches_a_row_taken_in_the_step_loop():
-    """lstm.py itself, with the unroll writing its candidate gate into
+    """lstm.py itself, with the unroll writing its gate tanh into
     `gates[t]` instead of the prebuilt row view."""
     source = (SRC / "lstm.py").read_text(encoding="utf-8")
-    assert source.count("tanh(z_g, g)") == 1
-    mutant = source.replace("tanh(z_g, g)", "tanh(z_g, gates[t])")
+    assert source.count("tanh(gate, gate)") == 1
+    mutant = source.replace("tanh(gate, gate)", "tanh(gate, gates[t])")
     found = loop_violations(_functions(mutant)["run_lstm"], _package_names())
     assert [what for _, what in found] == ["subscript"]
+
+
+def loop_calls(fn: ast.FunctionDef) -> int:
+    """Calls in the bodies of fn's `for` loops, a conditional one included."""
+    return sum(isinstance(node, ast.Call)
+               for loop in ast.walk(fn) if isinstance(loop, ast.For)
+               for stmt in loop.body for node in ast.walk(stmt))
+
+
+def test_each_step_loop_makes_a_pinned_number_of_calls():
+    """A step's calls set the time of an unroll and of its backprop, so a
+    change to their number is a change to this test.  The unroll: the
+    recurrent matvec and its add, one tanh over the scaled gate row and
+    the sigmoid gates' multiply and add, then c, tanh(c) and h (11).
+    Backprop: dh, dc, the dz row and the recurrent gradients (7)."""
+    functions = _functions((SRC / "lstm.py").read_text(encoding="utf-8"))
+    assert {name: loop_calls(functions[name]) for name in STEP_LOOPS} == {
+        "run_lstm": 11, "lstm_sequence_backward": 7}

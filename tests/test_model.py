@@ -319,3 +319,23 @@ def test_forward_refuses_buffers_of_another_length():
     with pytest.raises(ops.ShapeError):
         model.forward(params, audio, visual,
                       buffers=model.ModelBuffers.for_model(params, 5))
+
+
+@pytest.mark.parametrize("mode", list(DecoderInit))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_supervised_objective_is_bitwise_the_two_softmax_expressions(mode, dtype):
+    """The objective shares one row max, exp and row sum between its
+    log-probabilities and its probabilities; the results are those of the
+    separate log-softmax and `ops.softmax` it replaced, bit for bit."""
+    params = model.cast_model(make_model(seed=11, c=28), dtype)
+    params.out_w *= 8
+    audio, visual, labels = make_inputs(params, seed=111)
+    trace = model.forward(params, audio.astype(dtype), visual.astype(dtype), mode)
+    logits, steps = trace.logits, trace.length
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    want_loss = -float(logp[np.arange(steps), labels].mean())
+    want = ((ops.softmax(logits) - model.one_hot(labels, 29)) / steps).astype(dtype)
+    loss, dlogits = model.supervised_objective(trace, labels)
+    assert loss == want_loss
+    assert dlogits.dtype == want.dtype and dlogits.tobytes() == want.tobytes()

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from avloc import checkpoint, data, fusion, model, optim, trainer, tree
+from avloc import checkpoint, data, fusion, model, ops, optim, trainer, tree
 from avloc.model import DecoderInit
 from avloc.ops import Precision
 
@@ -472,3 +472,56 @@ def test_confusion_counts_just_over_the_byte_limit_are_refused():
                                     audio_dim=2, visual_dim=2, num_segments=1)
     with pytest.raises(trainer.ConfigError, match="confusion counts"):
         trainer.check_size(manifest, 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("num_events", [4, 28])
+def test_chunk_predictions_are_the_per_video_predictions(num_events, dtype):
+    """Evaluation predicts a chunk's stacked logits at once; its softmax
+    rows, predictions and counts are those of each video alone, bit for
+    bit, at C+1 = 5 and 29 and over a ragged last chunk."""
+    rng = np.random.default_rng(num_events)
+    params = model.init_model_params(6, 5, 8, num_events, rng, dtype)
+    # Larger logits make the rows' softmax sums less even.
+    params.out_w *= 4
+    videos = trainer.EVAL_CHUNK + 5
+    seqs = [data.FeatureSequence(
+        "v%d" % k, rng.standard_normal((7, 6)).astype(dtype),
+        rng.standard_normal((7, 5)).astype(dtype),
+        rng.integers(0, num_events + 1, size=7), num_events)
+        for k in range(videos)]
+    traces = [model.forward(params, s.audio, s.visual) for s in seqs]
+    stacked = np.concatenate([t.logits for t in traces])
+    assert ops.softmax(stacked).tobytes() == np.concatenate(
+        [t.probs for t in traces]).tobytes()
+    preds = np.concatenate([model.predict_segments(t) for t in traces])
+    assert np.array_equal(model.predict_rows(stacked), preds)
+    report = trainer.evaluate_params(params, seqs,
+                                     ["e%d" % k for k in range(num_events + 1)])
+    labels = np.concatenate([s.labels for s in seqs])
+    classes = num_events + 1
+    assert np.array_equal(report.confusion, np.bincount(
+        labels * classes + preds, minlength=classes ** 2).reshape(classes, classes))
+
+
+def test_a_row_whose_probabilities_tie_predicts_the_lowest_index():
+    """float32 logits 0 and 1e-8 differ, but exp(-1e-8) rounds to 1, so
+    their probabilities are equal and the prediction is class 0; an argmax
+    over the logits would give class 1.  Planted through the output layer,
+    every segment of every video gets that row."""
+    row = np.array([0.0, 1e-8, -1.0, -1.0, -1.0], np.float32)
+    assert row[1] > row[0]
+    probs = ops.softmax(row)
+    assert probs[0] == probs[1]
+    assert model.predict_rows(row[None]).tolist() == [0]
+    rng = np.random.default_rng(5)
+    params = model.init_model_params(6, 5, 8, 4, rng, np.float32)
+    params.out_w[:] = 0.0
+    params.out_b[:] = row
+    seqs = [data.FeatureSequence(
+        "v%d" % k, rng.standard_normal((3, 6)).astype(np.float32),
+        rng.standard_normal((3, 5)).astype(np.float32),
+        np.array([0, 1, 4]), 4) for k in range(trainer.EVAL_CHUNK + 1)]
+    report = trainer.evaluate_params(params, seqs, list("abcde"))
+    assert report.confusion[:, 1:].sum() == 0
+    assert report.confusion[:, 0].tolist() == [17, 17, 0, 0, 17]
