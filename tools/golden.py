@@ -73,6 +73,7 @@ def build() -> dict:
 def _cli(name: str, argv: list) -> None:
     """Run one command with `avloc.cli.main` and keep what it prints,
     stdout and stderr in order, in `<name>.out`."""
+    # Imported here: only the matrix's subprocess has the package on its path.
     from avloc import cli
 
     printed = io.StringIO()
@@ -160,20 +161,24 @@ def main(argv=None) -> int:
     if args.run_here:
         run_matrix()
         return 0
+    here = build()
+    if not args.pin:
+        pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+        pinned_build = {key: pinned.get(key) for key in here}
+        if pinned_build != here:
+            print("the digests were pinned under another numpy or BLAS build "
+                  "(%s; this is %s), so they prove nothing here; re-pin with %s"
+                  % (pinned_build, here, PIN_COMMAND))
+            return 1
     with tempfile.TemporaryDirectory() as tmp:
         got = digests(Path(tmp))
     if args.pin:
         PINNED.parent.mkdir(parents=True, exist_ok=True)
-        PINNED.write_text(json.dumps(dict(build(), digests=got), indent=1,
+        PINNED.write_text(json.dumps(dict(here, digests=got), indent=1,
                                      sort_keys=True) + "\n", encoding="utf-8")
         print("pinned %d digests in %s"
               % (sum(map(len, got.values())), PINNED.relative_to(ROOT)))
         return 0
-    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
-    if {key: pinned[key] for key in build()} != build():
-        print("pinned under %s, this is %s; re-pin with %s"
-              % ({key: pinned[key] for key in build()}, build(), PIN_COMMAND))
-        return 1
     lines = differences(pinned["digests"], got)
     for line in lines:
         print(line)
